@@ -13,11 +13,19 @@
 // Multiple instantiations (Section 4.2) run `instances` independent scheme
 // copies whose observations all narrow the *shared* per-hop candidate sets,
 // which is why 2 x (b=8) outperforms 1 x (b=16) in packets-to-decode.
+//
+// Memory layout: everything that is the same for every flow of a query —
+// digest width, scheme, per-instance hashes and V itself — lives in one
+// immutable HashedDecoderTables shared by all of that query's decoders. A
+// decoder owns only its candidate sets, held as one bitmap over the indices
+// of V (|V| bits per hop) in one allocation, and the XOR records it has not
+// yet peeled, which it frees once the path is complete.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "coding/encoder.h"
@@ -33,9 +41,30 @@ struct HashedDecoderConfig {
   SchemeConfig scheme;
 };
 
+/// Immutable decode-side state shared by every decoder of one query.
+struct HashedDecoderTables {
+  /// Validates `digest_bits` in [1,64], `instance_count` > 0 and a
+  /// nonempty `values`; throws std::invalid_argument otherwise.
+  HashedDecoderTables(unsigned digest_bits, unsigned instance_count,
+                      SchemeConfig layers, const GlobalHash& root,
+                      std::vector<std::uint64_t> values);
+
+  unsigned bits;
+  unsigned instances;
+  SchemeConfig scheme;
+  std::vector<InstanceHashes> hashes;   // one per instance
+  std::vector<std::uint64_t> universe;  // V; bit j of a hop's set = V[j]
+  std::size_t words_per_hop;            // ceil(|V| / 64)
+};
+
 class HashedPathDecoder {
  public:
-  // `universe` = all possible block values (e.g. every switch ID).
+  /// A decoder for a `k`-hop path over shared `tables` (k > 0).
+  HashedPathDecoder(unsigned k,
+                    std::shared_ptr<const HashedDecoderTables> tables);
+
+  /// Standalone form: builds private tables from `cfg`, `root` and
+  /// `universe` (all possible block values, e.g. every switch ID).
   HashedPathDecoder(HashedDecoderConfig cfg, const GlobalHash& root,
                     std::vector<std::uint64_t> universe);
 
@@ -43,27 +72,43 @@ class HashedPathDecoder {
   // Returns the number of hops newly resolved.
   unsigned add_packet(PacketId packet, std::span<const Digest> digests);
 
-  bool complete() const { return resolved_ == cfg_.k; }
+  bool complete() const { return resolved_ == k_; }
   unsigned resolved_count() const { return resolved_; }
-  unsigned k() const { return cfg_.k; }
+  unsigned k() const { return k_; }
 
   std::optional<std::uint64_t> value_at(HopIndex hop) const;
   std::vector<std::uint64_t> path() const;  // requires complete()
 
   std::uint64_t packets_consumed() const { return packets_; }
 
-  // Approximate heap + object footprint in bytes, for the Recording
-  // Module's memory accounting. Shrinks as candidate sets are filtered and
-  // grows with buffered XOR records.
+  const HashedDecoderTables& tables() const { return *tables_; }
+
+  // Heap + object footprint in bytes, for the Recording Module's memory
+  // accounting: the object, its candidate bitmap and its buffered XOR
+  // records (released once the path is complete). The shared tables are
+  // not charged to any one flow.
   std::size_t approx_bytes() const;
 
  private:
+  // A stored XOR packet with two or more unresolved participants. Its
+  // unresolved hops are unknown_hops_[first, first + unknown), in no
+  // particular order.
   struct XorRecord {
     PacketId packet;
-    unsigned instance;
     Digest residual;
-    std::vector<HopIndex> unknown;
+    std::uint32_t instance;
+    std::uint32_t first;
+    std::uint32_t unknown;
   };
+
+  std::uint64_t* hop_set(HopIndex hop) {
+    return candidates_.get() + (hop - 1) * tables_->words_per_hop;
+  }
+  const std::uint64_t* hop_set(HopIndex hop) const {
+    return candidates_.get() + (hop - 1) * tables_->words_per_hop;
+  }
+  bool resolved(HopIndex hop) const;             // exactly one candidate
+  std::uint64_t sole_value(HopIndex hop) const;  // requires resolved(hop)
 
   // Keep only candidates v of `hop` with h(v, packet) == digest under
   // instance `inst`; returns resolved hops triggered (cascade).
@@ -71,13 +116,14 @@ class HashedPathDecoder {
                       Digest digest);
   unsigned on_resolved(HopIndex hop);
 
-  HashedDecoderConfig cfg_;
-  std::vector<InstanceHashes> hashes_;
-  std::vector<std::vector<std::uint64_t>> candidates_;  // per hop (1-based-1)
+  std::shared_ptr<const HashedDecoderTables> tables_;
+  // The k x words_per_hop candidate bitmap, hop-major.
+  std::unique_ptr<std::uint64_t[]> candidates_;
+  unsigned k_;
   unsigned resolved_ = 0;
   std::uint64_t packets_ = 0;
   std::vector<XorRecord> records_;
-  std::unordered_map<HopIndex, std::vector<std::size_t>> hop_to_records_;
+  std::vector<HopIndex> unknown_hops_;
 };
 
 }  // namespace pint

@@ -5,6 +5,7 @@
 // the names document intent at interfaces.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace pint {
@@ -36,12 +37,16 @@ constexpr TimeNs kMicro = 1'000;
 constexpr TimeNs kMilli = 1'000'000;
 constexpr TimeNs kSecond = 1'000'000'000;
 
-// Approximate per-entry bookkeeping charged for node-based map storage
-// (hash/tree node plus bucket pointer). Shared by every approximate size
-// function (RecordingStore size callbacks, decoder/sketch footprints) so
-// the Recording Module's memory accounting treats map-resident state
-// consistently across modules.
-inline constexpr std::size_t kMapNodeOverheadBytes = 48;
+// Heap bytes one `n`-byte allocation really costs: the request plus an
+// 8-byte chunk header, rounded up to 16-byte granules and at least 32
+// bytes (glibc malloc's layout); 0 when nothing is allocated. Footprint
+// functions charge their heap blocks through it, so the Recording Module's
+// accounting follows what the allocator hands out, small blocks included.
+constexpr std::size_t heap_block_bytes(std::size_t n) {
+  if (n == 0) return 0;
+  const std::size_t chunk = (n + 8 + 15) & ~std::size_t{15};
+  return chunk < 32 ? 32 : chunk;
+}
 
 // Returns a bitmask with the low `bits` bits set. `bits` must be in [0, 64].
 constexpr std::uint64_t low_bits_mask(unsigned bits) {

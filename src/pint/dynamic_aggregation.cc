@@ -46,55 +46,57 @@ DynamicAggregationQuery::Sample DynamicAggregationQuery::decode(
 FlowLatencyRecorder::FlowLatencyRecorder(unsigned k, std::size_t sketch_bytes,
                                          std::uint64_t seed,
                                          std::size_t bytes_per_item)
-    : k_(k), use_sketch_(sketch_bytes > 0), counts_(k, 0) {
+    : hops_(k) {
   if (k == 0) throw std::invalid_argument("k > 0");
   if (bytes_per_item == 0) throw std::invalid_argument("bytes_per_item > 0");
-  if (use_sketch_) {
+  if (sketch_bytes > 0) {
     const std::size_t items_per_hop =
         std::max<std::size_t>(12, sketch_bytes / k / bytes_per_item);
     sketches_.reserve(k);
     for (unsigned i = 0; i < k; ++i) {
       sketches_.emplace_back(kll_k_for_items(items_per_hop), seed ^ (i + 1));
     }
-  } else {
-    raw_.resize(k);
   }
-  // Frequent-values tracking is cheap; keep 64 counters per hop.
-  frequents_.reserve(k);
-  for (unsigned i = 0; i < k; ++i) frequents_.emplace_back(64);
+}
+
+const FlowLatencyRecorder::Hop& FlowLatencyRecorder::hop_at(
+    HopIndex hop) const {
+  if (hop == 0 || hop > hops_.size())
+    throw std::out_of_range("hop out of range");
+  return hops_[hop - 1];
 }
 
 void FlowLatencyRecorder::add(const DynamicAggregationQuery::Sample& sample) {
-  if (sample.hop == 0 || sample.hop > k_)
+  if (sample.hop == 0 || sample.hop > hops_.size())
     throw std::out_of_range("hop out of range");
   const unsigned idx = sample.hop - 1;
-  ++counts_[idx];
-  if (use_sketch_) {
-    sketches_[idx].add(sample.value);
+  Hop& hop = hops_[idx];
+  ++hop.samples;
+  if (sketches_.empty()) {
+    hop.raw.push_back(sample.value);
   } else {
-    raw_[idx].push_back(sample.value);
+    sketches_[idx].add(sample.value);
   }
   if (!windows_.empty()) windows_[idx].add(sample.value);
-  frequents_[idx].add(
-      static_cast<std::uint64_t>(std::llround(sample.value)));
+  hop.frequent.add(static_cast<std::uint64_t>(std::llround(sample.value)));
 }
 
 void FlowLatencyRecorder::enable_sliding_window(std::size_t window,
                                                 std::size_t blocks) {
-  for (std::size_t c : counts_) {
-    if (c != 0)
+  for (const Hop& hop : hops_) {
+    if (hop.samples != 0)
       throw std::logic_error("enable_sliding_window before first add()");
   }
   windows_.clear();
-  windows_.reserve(k_);
-  for (unsigned i = 0; i < k_; ++i) {
+  windows_.reserve(hops_.size());
+  for (unsigned i = 0; i < hops_.size(); ++i) {
     windows_.emplace_back(window, blocks, 64, 0x51DE ^ (i + 1));
   }
 }
 
 std::optional<double> FlowLatencyRecorder::windowed_quantile(
     HopIndex hop, double phi) const {
-  if (hop == 0 || hop > k_) throw std::out_of_range("hop out of range");
+  hop_at(hop);  // range check
   if (windows_.empty() || windows_[hop - 1].items_covered() == 0)
     return std::nullopt;
   return windows_[hop - 1].quantile(phi);
@@ -102,31 +104,29 @@ std::optional<double> FlowLatencyRecorder::windowed_quantile(
 
 std::optional<double> FlowLatencyRecorder::quantile(HopIndex hop,
                                                     double phi) const {
-  if (hop == 0 || hop > k_) throw std::out_of_range("hop out of range");
-  const unsigned idx = hop - 1;
-  if (counts_[idx] == 0) return std::nullopt;
-  if (use_sketch_) return sketches_[idx].quantile(phi);
-  return percentile(raw_[idx], phi);
+  const Hop& h = hop_at(hop);
+  if (h.samples == 0) return std::nullopt;
+  if (!sketches_.empty()) return sketches_[hop - 1].quantile(phi);
+  return percentile(h.raw, phi);
 }
 
 std::vector<std::uint64_t> FlowLatencyRecorder::frequent_values(
     HopIndex hop, double theta) const {
-  if (hop == 0 || hop > k_) throw std::out_of_range("hop out of range");
-  return frequents_[hop - 1].frequent(theta);
+  return hop_at(hop).frequent.frequent(theta);
 }
 
 std::size_t FlowLatencyRecorder::samples_at(HopIndex hop) const {
-  if (hop == 0 || hop > k_) throw std::out_of_range("hop out of range");
-  return counts_[hop - 1];
+  return hop_at(hop).samples;
 }
 
 std::size_t FlowLatencyRecorder::approx_bytes() const {
-  std::size_t bytes = sizeof(*this) + counts_.capacity() * sizeof(std::size_t);
-  for (const auto& hop_samples : raw_) {
-    bytes += sizeof(hop_samples) + hop_samples.capacity() * sizeof(double);
+  std::size_t bytes =
+      sizeof(*this) + heap_block_bytes(hops_.capacity() * sizeof(Hop));
+  for (const Hop& hop : hops_) {
+    bytes += heap_block_bytes(hop.raw.capacity() * sizeof(double)) +
+             hop.frequent.heap_bytes();
   }
   for (const KllSketch& sketch : sketches_) bytes += sketch.size_bytes();
-  for (const SpaceSaving& freq : frequents_) bytes += freq.size_bytes();
   for (const SlidingWindowQuantiles& win : windows_) bytes += win.size_bytes();
   return bytes;
 }

@@ -93,7 +93,7 @@ class FlowLatencyRecorder {
   std::vector<std::uint64_t> frequent_values(HopIndex hop, double theta) const;
 
   std::size_t samples_at(HopIndex hop) const;
-  unsigned k() const { return k_; }
+  unsigned k() const { return static_cast<unsigned>(hops_.size()); }
 
   /// Approximate heap + object footprint in bytes, for the Recording
   /// Module's memory accounting. Grows with raw samples (or sketch
@@ -101,12 +101,19 @@ class FlowLatencyRecorder {
   std::size_t approx_bytes() const;
 
  private:
-  unsigned k_;
-  bool use_sketch_;
-  std::vector<std::vector<double>> raw_;       // per hop, when !use_sketch_
-  std::vector<KllSketch> sketches_;            // per hop, when use_sketch_
-  std::vector<SpaceSaving> frequents_;         // per hop (codes)
-  std::vector<std::size_t> counts_;
+  // One hop's sub-stream, kept together: its sample count, its raw samples
+  // (when not sketching) and its frequent-value counters (codes).
+  struct Hop {
+    std::size_t samples = 0;
+    std::vector<double> raw;
+    SpaceSaving frequent{kFrequentCounters};
+  };
+  static constexpr std::size_t kFrequentCounters = 64;
+
+  const Hop& hop_at(HopIndex hop) const;  // 1-based; throws out_of_range
+
+  std::vector<Hop> hops_;
+  std::vector<KllSketch> sketches_;              // per hop, when sketching
   std::vector<SlidingWindowQuantiles> windows_;  // per hop, when enabled
 };
 

@@ -28,6 +28,16 @@ std::uint64_t aggregation_salt(AggregationType aggregation) {
   return 0;
 }
 
+// A complete decoder's path as switch IDs, in hop order.
+std::vector<SwitchId> switch_path(const HashedPathDecoder& decoder) {
+  std::vector<SwitchId> path;
+  path.reserve(decoder.k());
+  for (HopIndex hop = 1; hop <= decoder.k(); ++hop) {
+    path.push_back(static_cast<SwitchId>(*decoder.value_at(hop)));
+  }
+  return path;
+}
+
 std::uint64_t binding_seed(std::uint64_t seed, AggregationType aggregation,
                            unsigned family_ordinal) {
   return seed ^ aggregation_salt(aggregation) ^
@@ -211,7 +221,6 @@ BuildResult PintFramework::Builder::build() const {
   std::unordered_map<AggregationType, unsigned> family_counts;
   auto fw = std::unique_ptr<PintFramework>(new PintFramework());
   fw->seed_ = seed_;
-  fw->switch_ids_ = universe_;
   fw->observers_ = observers_;
 
   std::vector<Query> engine_queries;
@@ -262,6 +271,7 @@ BuildResult PintFramework::Builder::build() const {
         }
         b.spec.path = pc;
         b.path.emplace(pc, module_seed);
+        b.path_tables = b.path->decoder_tables(universe_);
         b.lanes = pc.instances;
         break;
       }
@@ -504,11 +514,18 @@ void PintFramework::sink_one(const Packet& packet, unsigned k,
         // sheds this query's digest at the store door — no observation, no
         // observer callback, exactly one admissions_rejected count. With
         // no policy installed try_touch never returns nullptr.
-        HashedPathDecoder* decoder_p = b.decoders.try_touch(
-            fkey, [&] { return b.path->make_decoder(k, switch_ids_); });
+        const auto make_decoder = [&] {
+          return b.path->make_decoder(k, b.path_tables);
+        };
+        HashedPathDecoder* decoder_p = b.decoders.try_touch(fkey, make_decoder);
         if (decoder_p == nullptr) {
           lane += b.lanes;
           continue;
+        }
+        // A resident flow seen at a new path length was rerouted: its
+        // decoder describes the old path, so decoding restarts.
+        if (decoder_p->k() != k) {
+          decoder_p = &b.decoders.put(fkey, make_decoder());
         }
         HashedPathDecoder& decoder = *decoder_p;
         const bool was_complete = decoder.complete();
@@ -523,11 +540,7 @@ void PintFramework::sink_one(const Packet& packet, unsigned k,
         // evicted and rebuilt under a memory ceiling announces again on
         // re-completion (see the Binding comment).
         if (!was_complete && decoder.complete()) {
-          std::vector<SwitchId> path;
-          path.reserve(decoder.k());
-          for (std::uint64_t v : decoder.path()) {
-            path.push_back(static_cast<SwitchId>(v));
-          }
+          const std::vector<SwitchId> path = switch_path(decoder);
           for (SinkObserver* o : observers_) {
             o->on_path_decoded(ctx, name, path);
           }
@@ -535,16 +548,22 @@ void PintFramework::sink_one(const Packet& packet, unsigned k,
         break;
       }
       case AggregationType::kDynamicPerFlow: {
-        FlowLatencyRecorder* recorder_p = b.recorders.try_touch(fkey, [&] {
+        const auto make_recorder = [&] {
           const std::uint64_t recorder_seed = seed_ ^ fkey ^ b.recorder_salt;
           return b.spec.recorder_factory
                      ? b.spec.recorder_factory(k, recorder_seed)
                      : FlowLatencyRecorder(k, b.spec.query.space_budget_bytes,
                                            recorder_seed);
-        });
+        };
+        FlowLatencyRecorder* recorder_p =
+            b.recorders.try_touch(fkey, make_recorder);
         if (recorder_p == nullptr) {  // shed by the admission policy
           lane += b.lanes;
           continue;
+        }
+        // Rerouted flow (new path length): per-hop sub-streams restart.
+        if (recorder_p->k() != k) {
+          recorder_p = &b.recorders.put(fkey, make_recorder());
         }
         FlowLatencyRecorder& recorder = *recorder_p;
         const DynamicAggregationQuery::Sample sample =
@@ -786,12 +805,7 @@ std::optional<std::vector<SwitchId>> binding_flow_path(
     const RecordingStore<HashedPathDecoder>& decoders, std::uint64_t fkey) {
   const HashedPathDecoder* decoder = decoders.find(fkey);
   if (decoder == nullptr || !decoder->complete()) return std::nullopt;
-  std::vector<SwitchId> out;
-  out.reserve(decoder->k());
-  for (std::uint64_t v : decoder->path()) {
-    out.push_back(static_cast<SwitchId>(v));
-  }
-  return out;
+  return switch_path(*decoder);
 }
 
 }  // namespace

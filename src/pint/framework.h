@@ -380,6 +380,9 @@ class PintFramework {
 
     // Exactly one engaged, per spec.query.aggregation.
     std::optional<PathTracingQuery> path;
+    // With `path`: the decode tables (hashes + switch universe) every
+    // per-flow decoder of this query shares.
+    std::shared_ptr<const HashedDecoderTables> path_tables;
     std::optional<DynamicAggregationQuery> dynamic;
     std::optional<PerPacketQuery> perpacket;
 
@@ -395,10 +398,14 @@ class PintFramework {
     // a flow whose decoder was evicted announces again when its rebuilt
     // decoder re-completes, so bounded downstream consumers can re-learn
     // evicted paths (dedupe downstream if duplicates matter).
+    // Each entry is charged its state plus the store's own node, so a
+    // ceiling bounds the Recording Module's real footprint.
     RecordingStore<HashedPathDecoder> decoders{
-        0, [](const HashedPathDecoder& d) { return d.approx_bytes(); }};
+        0, [](const HashedPathDecoder& d) { return d.approx_bytes(); },
+        EntryCharge::kWithNode};
     RecordingStore<FlowLatencyRecorder> recorders{
-        0, [](const FlowLatencyRecorder& r) { return r.approx_bytes(); }};
+        0, [](const FlowLatencyRecorder& r) { return r.approx_bytes(); },
+        EntryCharge::kWithNode};
   };
 
   PintFramework() = default;
@@ -421,7 +428,6 @@ class PintFramework {
   std::uint64_t seed_ = 0;
   std::unique_ptr<QueryEngine> engine_;
   std::vector<Binding> bindings_;  // in engine order
-  std::vector<std::uint64_t> switch_ids_;
   std::vector<SinkObserver*> observers_;
   std::size_t max_lanes_ = 0;
   std::vector<double> extract_scratch_;  // batched at_switch hoisting

@@ -22,7 +22,10 @@
 namespace pint {
 
 /// Builds the per-flow recorder for a dynamic per-flow query. `k` is the
-/// flow's path length, `seed` is derived per (query, flow).
+/// flow's path length and the recorder must cover exactly `k` hops: the
+/// sink rebuilds a flow's recorder whenever its k() differs from a
+/// packet's path length (a rerouted flow). `seed` is derived per
+/// (query, flow).
 using RecorderFactory =
     std::function<FlowLatencyRecorder(unsigned k, std::uint64_t seed)>;
 

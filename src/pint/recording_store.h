@@ -16,8 +16,11 @@
 /// its original LRU code path byte-identically.
 ///
 /// Accounting contract: `used_bytes()` is always the exact sum of the last
-/// reported size of every resident entry (sizes may grow *or shrink* between
-/// touches — a path decoder's candidate sets shrink as hops resolve). The
+/// charged size of every resident entry (sizes may grow *or shrink* between
+/// touches — a path decoder's candidate sets shrink as hops resolve). An
+/// entry's charge is what `size_of` reports for its state, plus — for a
+/// store built with EntryCharge::kWithNode — the store's own per-entry
+/// bookkeeping, `node_bytes()`. The
 /// flow being touched is never evicted, so `used_bytes()` may transiently
 /// exceed the capacity by at most one entry; `peak_used_bytes()` records the
 /// high-water mark and `over_budget()` flags the only persistent overshoot
@@ -41,12 +44,24 @@
 
 namespace pint {
 
-/// Footprint of a vector-valued store entry (the common application case:
-/// a per-flow path), including the map-node overhead.
+/// Footprint of a vector-valued store state (the common application case:
+/// a per-flow path). The store's own node is not included: stores built
+/// with EntryCharge::kWithNode add it themselves.
 template <typename T>
 std::size_t vector_entry_bytes(const std::vector<T>& v) {
-  return sizeof(v) + v.capacity() * sizeof(T) + kMapNodeOverheadBytes;
+  return sizeof(v) + v.capacity() * sizeof(T);
 }
+
+/// What a RecordingStore charges each entry against its capacity.
+enum class EntryCharge : std::uint8_t {
+  /// Exactly what the size callback reports for the state.
+  kStateOnly,
+  /// The reported state size plus the store's own per-entry bookkeeping
+  /// (RecordingStore::node_bytes()). Use it when the size callback measures
+  /// the state alone and the ceiling should bound the store's real
+  /// footprint.
+  kWithNode,
+};
 
 template <typename PerFlowState>
 class RecordingStore {
@@ -65,9 +80,11 @@ class RecordingStore {
   /// churn recycles pooled nodes instead of hitting the heap. `set_arena`
   /// (before first use) switches back to plain heap allocation — identical
   /// behavior and accounting, only the allocator differs.
-  RecordingStore(std::size_t capacity_bytes, Factory factory, SizeFn size_of)
+  RecordingStore(std::size_t capacity_bytes, Factory factory, SizeFn size_of,
+                 EntryCharge charge = EntryCharge::kStateOnly)
       : capacity_(capacity_bytes), factory_(std::move(factory)),
-        size_of_(std::move(size_of)) {
+        size_of_(std::move(size_of)),
+        node_charge_(charge == EntryCharge::kWithNode ? node_bytes() : 0) {
     if (!factory_ || !size_of_) {
       throw std::invalid_argument("callbacks required");
     }
@@ -77,8 +94,10 @@ class RecordingStore {
   /// `touch(flow_key, make)` overload (the framework builds decoders with
   /// call-site context — path length, seeds — that no stored factory can
   /// know up front).
-  RecordingStore(std::size_t capacity_bytes, SizeFn size_of)
-      : capacity_(capacity_bytes), size_of_(std::move(size_of)) {
+  RecordingStore(std::size_t capacity_bytes, SizeFn size_of,
+                 EntryCharge charge = EntryCharge::kStateOnly)
+      : capacity_(capacity_bytes), size_of_(std::move(size_of)),
+        node_charge_(charge == EntryCharge::kWithNode ? node_bytes() : 0) {
     if (!size_of_) throw std::invalid_argument("size_of required");
   }
 
@@ -96,9 +115,21 @@ class RecordingStore {
     SlabArena* backing = enabled ? arena_.get() : nullptr;
     // Propagating move-assignments swap in the new allocator; both
     // containers are empty, so no elements move between arenas.
-    entries_ = EntryMap(0, MapHash{}, MapEq{}, MapAlloc{backing});
+    entries_ = make_entries(backing);
     lru_ = LruList(ListAlloc{backing});
     if (!enabled) arena_.reset();
+  }
+
+  /// Bytes the store spends on one resident entry besides its state
+  /// object: the hash node's link, key and bookkeeping (LRU position and
+  /// charged size), its share of the bucket array at the maximum load
+  /// factor, and the LRU list node. A kWithNode store adds this to every
+  /// entry's charge.
+  static constexpr std::size_t node_bytes() {
+    return sizeof(void*) + sizeof(std::uint64_t) +
+           (sizeof(Entry) - sizeof(PerFlowState)) +
+           kBucketsPerEntry * sizeof(void*) + 2 * sizeof(void*) +
+           sizeof(std::uint64_t);
   }
 
   /// The store's slab arena, or nullptr when arena-backing is disabled.
@@ -293,6 +324,19 @@ class RecordingStore {
   using EntryMap =
       std::unordered_map<std::uint64_t, Entry, MapHash, MapEq, MapAlloc>;
 
+  // The hash index keeps at least this many buckets per entry (a maximum
+  // load factor of 1/4), so most lookups of an absent flow read one empty
+  // bucket and stop instead of walking a chain of nodes scattered over the
+  // store's memory. With ~22k flows resident, a cold miss took ~1.1 us at
+  // load factor 1 and ~0.6 us at 1/4 (4-core Xeon).
+  static constexpr std::size_t kBucketsPerEntry = 4;
+
+  static EntryMap make_entries(SlabArena* backing) {
+    EntryMap map(0, MapHash{}, MapEq{}, MapAlloc{backing});
+    map.max_load_factor(1.0f / kBucketsPerEntry);
+    return map;
+  }
+
   // Shared engine behind touch/try_touch/try_put. `forced` callers must
   // receive state, so the policy is trained on the arrival but its verdict
   // is ignored; admission-gated callers get nullptr on rejection.
@@ -313,7 +357,7 @@ class RecordingStore {
       // (rolled back if the push throws), so a failure at any point leaves
       // the store consistent — no orphaned LRU keys, no inflated used_.
       Entry e{make(), lru_.end(), 0};
-      e.bytes = size_of_(e.state);
+      e.bytes = charge_of(e.state);
       it = entries_.emplace(flow_key, std::move(e)).first;
       try {
         lru_.push_front(flow_key);
@@ -349,7 +393,7 @@ class RecordingStore {
     // States grow as digests accumulate, but may also shrink (decoders
     // drop candidate sets as hops resolve), so both directions are
     // handled explicitly instead of leaning on unsigned wraparound.
-    const std::size_t now = size_of_(it->second.state);
+    const std::size_t now = charge_of(it->second.state);
     const std::size_t before = it->second.bytes;
     if (now >= before) {
       used_ += now - before;
@@ -359,6 +403,10 @@ class RecordingStore {
     }
     it->second.bytes = now;
     max_entry_bytes_ = std::max(max_entry_bytes_, now);
+  }
+
+  std::size_t charge_of(const PerFlowState& state) const {
+    return size_of_(state) + node_charge_;
   }
 
   void enforce_capacity(std::uint64_t protect) {
@@ -420,11 +468,12 @@ class RecordingStore {
   std::size_t capacity_;
   Factory factory_;
   SizeFn size_of_;
+  std::size_t node_charge_ = 0;  // added to every entry's charge
   std::unique_ptr<StorePolicy> policy_;  // nullptr = plain LRU
   // Declared before the containers so it is destroyed after them: nodes
   // must not outlive the slabs they live in.
   std::unique_ptr<SlabArena> arena_ = std::make_unique<SlabArena>();
-  EntryMap entries_{0, MapHash{}, MapEq{}, MapAlloc{arena_.get()}};
+  EntryMap entries_ = make_entries(arena_.get());
   LruList lru_{ListAlloc{arena_.get()}};  // front = most recent
   std::size_t used_ = 0;
   std::size_t peak_used_ = 0;

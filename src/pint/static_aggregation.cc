@@ -44,14 +44,24 @@ void PathTracingQuery::encode(PacketId packet, HopIndex i, SwitchId sid,
   }
 }
 
+std::shared_ptr<const HashedDecoderTables> PathTracingQuery::decoder_tables(
+    std::vector<std::uint64_t> universe) const {
+  return std::make_shared<const HashedDecoderTables>(
+      config_.bits, config_.instances, scheme_, root_, std::move(universe));
+}
+
+HashedPathDecoder PathTracingQuery::make_decoder(
+    unsigned k, std::shared_ptr<const HashedDecoderTables> tables) const {
+  if (tables == nullptr || tables->bits != config_.bits ||
+      tables->instances != config_.instances) {
+    throw std::invalid_argument("decoder tables from a different query");
+  }
+  return HashedPathDecoder(k, std::move(tables));
+}
+
 HashedPathDecoder PathTracingQuery::make_decoder(
     unsigned k, std::vector<std::uint64_t> universe) const {
-  HashedDecoderConfig cfg;
-  cfg.k = k;
-  cfg.bits = config_.bits;
-  cfg.instances = config_.instances;
-  cfg.scheme = scheme_;
-  return HashedPathDecoder(cfg, root_, std::move(universe));
+  return HashedPathDecoder(k, decoder_tables(std::move(universe)));
 }
 
 }  // namespace pint

@@ -56,8 +56,21 @@ class PathTracingQuery {
     encode(packet, i, sid, std::span<Digest>(lanes));
   }
 
-  /// Sink side: a per-flow decoder for a k-hop flow over the given switch-ID
-  /// universe.
+  /// Sink side: the immutable tables every decoder of this query shares —
+  /// digest width, scheme, per-instance hashes and the switch-ID
+  /// `universe`. Build them once and hand them to make_decoder per flow.
+  std::shared_ptr<const HashedDecoderTables> decoder_tables(
+      std::vector<std::uint64_t> universe) const;
+
+  /// Sink side: a per-flow decoder for a k-hop flow over shared `tables`
+  /// from decoder_tables(); it holds a reference, not a copy. Throws
+  /// std::invalid_argument if the tables' digest layout is not this
+  /// query's.
+  HashedPathDecoder make_decoder(
+      unsigned k, std::shared_ptr<const HashedDecoderTables> tables) const;
+
+  /// Sink side: a decoder with private tables over the given switch-ID
+  /// universe (one-off decoders; per-flow callers share tables instead).
   HashedPathDecoder make_decoder(unsigned k,
                                  std::vector<std::uint64_t> universe) const;
 

@@ -472,7 +472,9 @@ TEST(MemoryBound, EvictedFlowReannouncesPathOnRedecode) {
                    counter.decode_events.end(), flow0));
   };
   ASSERT_EQ(announced(), 1u);
-  for (std::size_t m = 0; m < 400; ++m) send(5000 + m);  // mice flood
+  // Mice flood: enough single-packet flows to cycle the 128 KiB path store
+  // many times over at a few hundred bytes per flow.
+  for (std::size_t m = 0; m < 4000; ++m) send(5000 + m);
   EXPECT_EQ(fw->path_progress("path", flow0), 0.0);      // evicted
   for (int j = 0; j < 60; ++j) send(0);  // phase 2: re-decode
   EXPECT_EQ(announced(), 2u);

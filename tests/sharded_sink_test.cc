@@ -415,5 +415,93 @@ TEST(ShardedSink, SubmitRejectsMismatchedReportBuffer) {
   EXPECT_EQ(sink.packets_processed(), packets.size());
 }
 
+// One phase of rerouted traffic: `packets_per_flow` packets of every flow,
+// each encoded along that flow's `hops`-switch path.
+struct RoutePhase {
+  unsigned hops;
+  std::size_t packets_per_flow;
+};
+
+// Switch at hop i of flow f's path under a given path length; different
+// lengths give different paths through the universe.
+SwitchId reroute_switch(std::size_t flow, unsigned hops, HopIndex i) {
+  return static_cast<SwitchId>((flow * 3 + hops * 5 + i * 7) % 32 + 1);
+}
+
+TEST(ShardedSink, ReroutedFlowRebuildsStateLikeMonolithicSink) {
+  // A resident flow whose packets arrive with a different hop count (a
+  // reroute) must restart its decoder and latency recorder instead of
+  // throwing on a shard worker. Flows go 3 hops -> 5 hops -> 3 hops; the
+  // first phase is short enough that some flows switch mid-decode.
+  constexpr std::size_t kRerouteFlows = 12;
+  const std::vector<RoutePhase> phases = {{3, 4}, {5, 40}, {3, 30}};
+  const auto builder = three_query_builder();
+  const auto network = builder.build_or_throw();
+  std::vector<std::vector<Packet>> traffic;
+  PacketId next_id = 1;
+  for (const RoutePhase& phase : phases) {
+    std::vector<Packet>& packets = traffic.emplace_back();
+    for (std::size_t j = 0; j < phase.packets_per_flow; ++j) {
+      for (std::size_t f = 0; f < kRerouteFlows; ++f) {
+        Packet p;
+        p.id = next_id++;
+        p.tuple = tuple_of_flow(f);
+        for (HopIndex i = 1; i <= phase.hops; ++i) {
+          SwitchView view(reroute_switch(f, phase.hops, i));
+          view.set(metric::kHopLatencyNs, 100.0 * i + static_cast<double>(f));
+          view.set(metric::kLinkUtilization, 0.1 * i);
+          network->at_switch(p, i, view);
+        }
+        packets.push_back(std::move(p));
+      }
+    }
+  }
+
+  const auto baseline = builder.build_or_throw();
+  ShardedSink sink(builder, 2);
+  ReportEncoder base_enc;
+  ReportEncoder sharded_enc;
+  for (std::size_t ph = 0; ph < phases.size(); ++ph) {
+    const std::vector<Packet>& packets = traffic[ph];
+    const unsigned k = phases[ph].hops;
+    std::vector<SinkReport> base_reports(packets.size());
+    for (std::size_t i = 0; i < packets.size(); ++i) {
+      ASSERT_NO_THROW(baseline->at_sink(packets[i], k, base_reports[i]));
+    }
+    std::vector<SinkReport> reports(packets.size());
+    sink.submit(packets, k, reports);
+    sink.flush();
+    for (std::size_t i = 0; i < packets.size(); ++i) {
+      base_enc.add(packets[i].id, k, base_reports[i]);
+      sharded_enc.add(packets[i].id, k, reports[i]);
+    }
+    // Each phase decodes the flows' current paths, identically on both.
+    std::size_t decoded = 0;
+    for (std::size_t f = 0; f < kRerouteFlows; ++f) {
+      const FiveTuple tuple = tuple_of_flow(f);
+      const auto base_path =
+          baseline->flow_path("path", baseline->flow_key_for("path", tuple));
+      EXPECT_EQ(sink.flow_path("path", tuple), base_path) << "flow " << f;
+      if (base_path.has_value()) {
+        ++decoded;
+        ASSERT_EQ(base_path->size(), k);
+        for (HopIndex i = 1; i <= k; ++i) {
+          EXPECT_EQ((*base_path)[i - 1], reroute_switch(f, k, i));
+        }
+      }
+      for (HopIndex hop = 1; hop <= k; ++hop) {
+        EXPECT_EQ(sink.latency_quantile("latency", tuple, hop, 0.5),
+                  baseline->latency_quantile(
+                      "latency", baseline->flow_key_for("latency", tuple),
+                      hop, 0.5));
+      }
+    }
+    if (phases[ph].packets_per_flow >= 30) {
+      EXPECT_GT(decoded, kRerouteFlows / 2) << "phase " << ph;
+    }
+  }
+  EXPECT_EQ(sharded_enc.finish(), base_enc.finish());
+}
+
 }  // namespace
 }  // namespace pint

@@ -377,8 +377,7 @@ void bench_store_stage(bool smoke, unsigned reps, JsonWriter& json) {
           },
           [](const std::vector<std::uint64_t>& v) {
             return vector_entry_bytes(v);
-          },
-          EntryCharge::kWithNode);
+          });
       store.set_arena(arena);
       const auto t0 = std::chrono::steady_clock::now();
       for (std::size_t i = 0; i < touches; ++i) {

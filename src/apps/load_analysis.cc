@@ -91,8 +91,7 @@ LoadObserver::LoadObserver(LoadAnalyzer& analyzer, std::string util_query,
     : analyzer_(analyzer),
       util_query_(std::move(util_query)),
       path_query_(std::move(path_query)),
-      paths_(memory_ceiling_bytes, vector_entry_bytes<SwitchId>,
-             EntryCharge::kWithNode) {
+      paths_(memory_ceiling_bytes, vector_entry_bytes<SwitchId>) {
   paths_.set_policy(make_store_policy(store_policy, 0x10AD'0A11ULL));
 }
 

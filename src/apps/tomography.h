@@ -37,8 +37,7 @@ class QueueTomography {
                            std::size_t memory_ceiling_bytes = 0,
                            StorePolicyKind store_policy = StorePolicyKind::kLru)
       : seed_(seed),
-        flows_(memory_ceiling_bytes, vector_entry_bytes<SwitchId>,
-               EntryCharge::kWithNode) {
+        flows_(memory_ceiling_bytes, vector_entry_bytes<SwitchId>) {
     flows_.set_policy(make_store_policy(store_policy, seed ^ 0x704'0A11ULL));
   }
 

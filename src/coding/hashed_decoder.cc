@@ -128,7 +128,7 @@ unsigned HashedPathDecoder::filter_hop(HopIndex hop, unsigned inst,
     survivors += std::popcount(keep);
   }
   if (survivors == 0) {
-    throw std::runtime_error(
+    throw InconsistentDigestsError(
         "inconsistent digests: no candidate survives (wrong universe, path "
         "length, or corrupted packets)");
   }

@@ -26,6 +26,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "coding/encoder.h"
@@ -39,6 +40,15 @@ struct HashedDecoderConfig {
   unsigned bits = 8;       // digest bits per instance (1..64)
   unsigned instances = 1;  // independent scheme copies
   SchemeConfig scheme;
+};
+
+/// Thrown by HashedPathDecoder::add_packet when a hop's candidate set runs
+/// empty: the digests do not fit one path over the universe (wrong
+/// universe or path length, corrupted packets, or a flow that moved to
+/// another path mid-decode). The decoder's state is then unusable.
+class InconsistentDigestsError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
 };
 
 /// Immutable decode-side state shared by every decoder of one query.
@@ -69,7 +79,8 @@ class HashedPathDecoder {
                     std::vector<std::uint64_t> universe);
 
   // Feed one packet; `digests` has one lane per instance.
-  // Returns the number of hops newly resolved.
+  // Returns the number of hops newly resolved. Throws
+  // InconsistentDigestsError when no candidate of some hop survives.
   unsigned add_packet(PacketId packet, std::span<const Digest> digests);
 
   bool complete() const { return resolved_ == k_; }

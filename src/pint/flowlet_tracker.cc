@@ -59,8 +59,8 @@ bool FlowletTracker::add_packet(PacketId packet,
   if (!decoder_->complete()) {
     try {
       decoder_->add_packet(packet, lanes);
-    } catch (const std::runtime_error&) {
-      // "No candidate survives" — packets from two routes were mixed into
+    } catch (const InconsistentDigestsError&) {
+      // No candidate survives — packets from two routes were mixed into
       // one decoder before any hop resolved. That too proves a change;
       // restart cleanly from this packet.
       ++route_changes_;

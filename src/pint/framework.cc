@@ -525,15 +525,24 @@ void PintFramework::sink_one(const Packet& packet, unsigned k,
         // A resident flow seen at a new path length was rerouted: its
         // decoder describes the old path, so decoding restarts.
         if (decoder_p->k() != k) {
-          decoder_p = &b.decoders.put(fkey, make_decoder());
+          decoder_p = &b.decoders.replace(fkey, make_decoder());
+        }
+        const bool was_complete = decoder_p->complete();
+        if (!was_complete) {
+          const std::span<const Digest> digests(packet.digests.data() + lane,
+                                                b.lanes);
+          try {
+            decoder_p->add_packet(packet.id, digests);
+          } catch (const InconsistentDigestsError&) {
+            // Digests no candidate fits: the flow moved to another path of
+            // the same length before its old one decoded. Restart on this
+            // packet; a fresh decoder that rejects it too means the packet
+            // itself is corrupt, and that error propagates.
+            decoder_p = &b.decoders.replace(fkey, make_decoder());
+            decoder_p->add_packet(packet.id, digests);
+          }
         }
         HashedPathDecoder& decoder = *decoder_p;
-        const bool was_complete = decoder.complete();
-        if (!was_complete) {
-          decoder.add_packet(
-              packet.id,
-              std::span<const Digest>(packet.digests.data() + lane, b.lanes));
-        }
         obs = PathDigestObservation{decoder.resolved_count(), decoder.k(),
                                     decoder.complete()};
         // Incomplete->complete edge: once per decoder residency. A flow
@@ -563,7 +572,7 @@ void PintFramework::sink_one(const Packet& packet, unsigned k,
         }
         // Rerouted flow (new path length): per-hop sub-streams restart.
         if (recorder_p->k() != k) {
-          recorder_p = &b.recorders.put(fkey, make_recorder());
+          recorder_p = &b.recorders.replace(fkey, make_recorder());
         }
         FlowLatencyRecorder& recorder = *recorder_p;
         const DynamicAggregationQuery::Sample sample =

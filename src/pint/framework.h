@@ -401,11 +401,15 @@ class PintFramework {
     // Each entry is charged its state plus the store's own node, so a
     // ceiling bounds the Recording Module's real footprint.
     RecordingStore<HashedPathDecoder> decoders{
-        0, [](const HashedPathDecoder& d) { return d.approx_bytes(); },
-        EntryCharge::kWithNode};
+        0, [](const HashedPathDecoder& d) {
+          return d.approx_bytes() +
+                 RecordingStore<HashedPathDecoder>::node_bytes();
+        }};
     RecordingStore<FlowLatencyRecorder> recorders{
-        0, [](const FlowLatencyRecorder& r) { return r.approx_bytes(); },
-        EntryCharge::kWithNode};
+        0, [](const FlowLatencyRecorder& r) {
+          return r.approx_bytes() +
+                 RecordingStore<FlowLatencyRecorder>::node_bytes();
+        }};
   };
 
   PintFramework() = default;

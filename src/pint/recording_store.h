@@ -16,11 +16,10 @@
 /// its original LRU code path byte-identically.
 ///
 /// Accounting contract: `used_bytes()` is always the exact sum of the last
-/// charged size of every resident entry (sizes may grow *or shrink* between
-/// touches — a path decoder's candidate sets shrink as hops resolve). An
-/// entry's charge is what `size_of` reports for its state, plus — for a
-/// store built with EntryCharge::kWithNode — the store's own per-entry
-/// bookkeeping, `node_bytes()`. The
+/// reported size of every resident entry (sizes may grow *or shrink* between
+/// touches — a path decoder's candidate sets shrink as hops resolve). A size
+/// callback meant to bound the store's real footprint adds the store's own
+/// per-entry bookkeeping, `node_bytes()`, to its state's size. The
 /// flow being touched is never evicted, so `used_bytes()` may transiently
 /// exceed the capacity by at most one entry; `peak_used_bytes()` records the
 /// high-water mark and `over_budget()` flags the only persistent overshoot
@@ -44,25 +43,6 @@
 
 namespace pint {
 
-/// Footprint of a vector-valued store state (the common application case:
-/// a per-flow path). The store's own node is not included: stores built
-/// with EntryCharge::kWithNode add it themselves.
-template <typename T>
-std::size_t vector_entry_bytes(const std::vector<T>& v) {
-  return sizeof(v) + v.capacity() * sizeof(T);
-}
-
-/// What a RecordingStore charges each entry against its capacity.
-enum class EntryCharge : std::uint8_t {
-  /// Exactly what the size callback reports for the state.
-  kStateOnly,
-  /// The reported state size plus the store's own per-entry bookkeeping
-  /// (RecordingStore::node_bytes()). Use it when the size callback measures
-  /// the state alone and the ceiling should bound the store's real
-  /// footprint.
-  kWithNode,
-};
-
 template <typename PerFlowState>
 class RecordingStore {
  public:
@@ -80,11 +60,9 @@ class RecordingStore {
   /// churn recycles pooled nodes instead of hitting the heap. `set_arena`
   /// (before first use) switches back to plain heap allocation — identical
   /// behavior and accounting, only the allocator differs.
-  RecordingStore(std::size_t capacity_bytes, Factory factory, SizeFn size_of,
-                 EntryCharge charge = EntryCharge::kStateOnly)
+  RecordingStore(std::size_t capacity_bytes, Factory factory, SizeFn size_of)
       : capacity_(capacity_bytes), factory_(std::move(factory)),
-        size_of_(std::move(size_of)),
-        node_charge_(charge == EntryCharge::kWithNode ? node_bytes() : 0) {
+        size_of_(std::move(size_of)) {
     if (!factory_ || !size_of_) {
       throw std::invalid_argument("callbacks required");
     }
@@ -94,10 +72,8 @@ class RecordingStore {
   /// `touch(flow_key, make)` overload (the framework builds decoders with
   /// call-site context — path length, seeds — that no stored factory can
   /// know up front).
-  RecordingStore(std::size_t capacity_bytes, SizeFn size_of,
-                 EntryCharge charge = EntryCharge::kStateOnly)
-      : capacity_(capacity_bytes), size_of_(std::move(size_of)),
-        node_charge_(charge == EntryCharge::kWithNode ? node_bytes() : 0) {
+  RecordingStore(std::size_t capacity_bytes, SizeFn size_of)
+      : capacity_(capacity_bytes), size_of_(std::move(size_of)) {
     if (!size_of_) throw std::invalid_argument("size_of required");
   }
 
@@ -122,9 +98,9 @@ class RecordingStore {
 
   /// Bytes the store spends on one resident entry besides its state
   /// object: the hash node's link, key and bookkeeping (LRU position and
-  /// charged size), its share of the bucket array at the maximum load
-  /// factor, and the LRU list node. A kWithNode store adds this to every
-  /// entry's charge.
+  /// charged size), its kBucketsPerEntry bucket slots, and the LRU list
+  /// node — 88 bytes on a 64-bit target. Size callbacks add it when the
+  /// ceiling should bound the real footprint.
   static constexpr std::size_t node_bytes() {
     return sizeof(void*) + sizeof(std::uint64_t) +
            (sizeof(Entry) - sizeof(PerFlowState)) +
@@ -199,12 +175,22 @@ class RecordingStore {
       return touch(flow_key, [&] { return std::move(value); });
     }
     if (policy_ != nullptr) policy_->on_hit(flow_key);
-    it->second.state = std::move(value);
-    bump(it);
-    if (capacity_ == 0) reaccount(it);
-    enforce_capacity(flow_key);
-    peak_used_ = std::max(peak_used_, used_);
-    return it->second.state;
+    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+    return overwrite(it, std::move(value));
+  }
+
+  /// Overwrite a resident flow's state in one accounted step like put(),
+  /// but as no new arrival: the policy is not trained and the flow keeps
+  /// its LRU position. For a caller that has just touched the flow and
+  /// found its state stale (the framework restarts a rerouted flow's
+  /// decoder). May evict other flows; throws std::out_of_range if the flow
+  /// is not resident.
+  PerFlowState& replace(std::uint64_t flow_key, PerFlowState value) {
+    auto it = entries_.find(flow_key);
+    if (it == entries_.end()) {
+      throw std::out_of_range("RecordingStore::replace: flow not resident");
+    }
+    return overwrite(it, std::move(value));
   }
 
   /// Admission-aware `put`: a non-resident flow the policy rejects is shed
@@ -327,8 +313,11 @@ class RecordingStore {
   // The hash index keeps at least this many buckets per entry (a maximum
   // load factor of 1/4), so most lookups of an absent flow read one empty
   // bucket and stop instead of walking a chain of nodes scattered over the
-  // store's memory. With ~22k flows resident, a cold miss took ~1.1 us at
-  // load factor 1 and ~0.6 us at 1/4 (4-core Xeon).
+  // store's memory. Operator reads of flows the store does not hold are
+  // such lookups. On the benchmark's flow_churn workload, whose store
+  // holds a few percent of a 1M-flow universe, the read p50 was about
+  // 1.5x higher at load factor 1 than at 1/4 (4-core Xeon; see
+  // docs/PERFORMANCE.md, "Recording Module footprint").
   static constexpr std::size_t kBucketsPerEntry = 4;
 
   static EntryMap make_entries(SlabArena* backing) {
@@ -357,7 +346,7 @@ class RecordingStore {
       // (rolled back if the push throws), so a failure at any point leaves
       // the store consistent — no orphaned LRU keys, no inflated used_.
       Entry e{make(), lru_.end(), 0};
-      e.bytes = charge_of(e.state);
+      e.bytes = size_of_(e.state);
       it = entries_.emplace(flow_key, std::move(e)).first;
       try {
         lru_.push_front(flow_key);
@@ -378,6 +367,17 @@ class RecordingStore {
     return &it->second.state;
   }
 
+  // Shared tail of put/replace: the new state is re-sized even when
+  // unbounded (an overwrite replaces the entry wholesale, so its stale size
+  // would never heal).
+  PerFlowState& overwrite(typename EntryMap::iterator it, PerFlowState value) {
+    it->second.state = std::move(value);
+    reaccount(it);
+    enforce_capacity(it->first);
+    peak_used_ = std::max(peak_used_, used_);
+    return it->second.state;
+  }
+
   void bump(typename EntryMap::iterator it) {
     // Relink the existing node instead of erase+push: no allocator round
     // trip on the touch path, and lru_pos stays valid (splice moves the
@@ -393,7 +393,7 @@ class RecordingStore {
     // States grow as digests accumulate, but may also shrink (decoders
     // drop candidate sets as hops resolve), so both directions are
     // handled explicitly instead of leaning on unsigned wraparound.
-    const std::size_t now = charge_of(it->second.state);
+    const std::size_t now = size_of_(it->second.state);
     const std::size_t before = it->second.bytes;
     if (now >= before) {
       used_ += now - before;
@@ -403,10 +403,6 @@ class RecordingStore {
     }
     it->second.bytes = now;
     max_entry_bytes_ = std::max(max_entry_bytes_, now);
-  }
-
-  std::size_t charge_of(const PerFlowState& state) const {
-    return size_of_(state) + node_charge_;
   }
 
   void enforce_capacity(std::uint64_t protect) {
@@ -468,7 +464,6 @@ class RecordingStore {
   std::size_t capacity_;
   Factory factory_;
   SizeFn size_of_;
-  std::size_t node_charge_ = 0;  // added to every entry's charge
   std::unique_ptr<StorePolicy> policy_;  // nullptr = plain LRU
   // Declared before the containers so it is destroyed after them: nodes
   // must not outlive the slabs they live in.
@@ -483,5 +478,13 @@ class RecordingStore {
   std::uint64_t admissions_rejected_ = 0;
   std::uint64_t evict_retains_ = 0;
 };
+
+/// Footprint of a vector-valued store entry (the common application case:
+/// a per-flow path): the vector, its buffer and the store's node.
+template <typename T>
+std::size_t vector_entry_bytes(const std::vector<T>& v) {
+  return sizeof(v) + v.capacity() * sizeof(T) +
+         RecordingStore<std::vector<T>>::node_bytes();
+}
 
 }  // namespace pint

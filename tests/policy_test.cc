@@ -197,6 +197,36 @@ TEST(PolicyStore, InterplayAcrossAccessorsUnderEachPolicy) {
   }
 }
 
+TEST(PolicyStore, ReplaceDoesNotTrainThePolicy) {
+  // The framework replaces a rerouted flow's state right after touching
+  // it; that touch is the flow's one hit, so replace() must not count
+  // another the way put() does.
+  struct CountHits final : StorePolicy {
+    std::uint64_t* hits;
+    explicit CountHits(std::uint64_t* h) : hits(h) {}
+    StorePolicyKind kind() const override { return StorePolicyKind::kTinyLfu; }
+    AdmitVerdict on_admit(std::uint64_t) override {
+      return AdmitVerdict::kAdmit;
+    }
+    void on_hit(std::uint64_t) override { ++*hits; }
+    EvictVerdict on_evict_candidate(std::uint64_t, std::uint64_t) override {
+      return EvictVerdict::kEvict;
+    }
+  };
+  std::uint64_t hits = 0;
+  RecordingStore<int> store(0, [](std::uint64_t key) {
+    return static_cast<int>(key);
+  }, [](const int&) { return kEntryBytes; });
+  store.set_policy(std::make_unique<CountHits>(&hits));
+  store.touch(1);
+  EXPECT_NE(store.try_touch(1), nullptr);
+  EXPECT_EQ(hits, 1u);
+  EXPECT_EQ(store.replace(1, 7), 7);
+  EXPECT_EQ(hits, 1u);
+  EXPECT_EQ(store.put(1, 8), 8);
+  EXPECT_EQ(hits, 2u);
+}
+
 TEST(PolicyStore, SoleOversizedFlowStaysResidentUnderPolicy) {
   for (const StorePolicyKind kind :
        {StorePolicyKind::kDoorkeeper, StorePolicyKind::kTinyLfu}) {

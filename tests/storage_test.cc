@@ -199,6 +199,23 @@ TEST(RecordingStore, PutInsertsOrOverwritesWithAccounting) {
   EXPECT_EQ(store.created(), 1u);
 }
 
+TEST(RecordingStore, ReplaceReaccountsInPlaceKeepingLruPosition) {
+  auto store = make_store(300);
+  store.touch(1);
+  store.touch(2);
+  // Replacing the least-recent flow re-accounts it and leaves it
+  // least-recent.
+  EXPECT_EQ(store.replace(1, FakeState{1, 50}).bytes, 50u);
+  EXPECT_EQ(store.used_bytes(), 150u);
+  EXPECT_EQ(store.created(), 2u);
+  store.touch(3);
+  store.touch(4);  // over the ceiling: the LRU tail, flow 1, goes first
+  EXPECT_EQ(store.find(1), nullptr);
+  EXPECT_NE(store.find(2), nullptr);
+  EXPECT_THROW((void)store.replace(1, FakeState{1, 10}), std::out_of_range);
+  EXPECT_EQ(store.flows(), store.created() - store.evictions());
+}
+
 TEST(RecordingStore, FactorylessStoreUsesTouchSiteFactory) {
   RecordingStore<FakeState> store(
       0, [](const FakeState& s) { return s.bytes; });

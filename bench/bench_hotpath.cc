@@ -1,20 +1,17 @@
 // End-to-end sink hot-path benchmark: packets/sec through
 // at_switch -> ShardedSink -> report codec -> framed fan-in -> observers,
-// across the PR's optimization axes:
+// across these axes:
 //
-//   * observer delivery: synchronous (the pre-PR path) vs async relay
-//     (Builder::async_observers) under kBlock and kDropNewest;
-//   * Recording-Module allocation: slab arena on vs off;
+//   * observer transport policy: kBlock vs kDropNewest, with a light and
+//     a heavy observer;
+//   * thread topology: shard workers and relay threads;
 //   * decode: materializing decode()+dispatch vs zero-copy streaming
 //     dispatch() (stage micro-benchmark);
 //   * RecordingStore churn: arena on vs off (stage micro-benchmark).
 //
-// `pipeline_sync_heap_*` is the pre-PR configuration (synchronous
-// observers, heap-backed stores) kept runnable behind toggles, so
-// before/after is measured by one binary on one machine. Two correctness
-// gates run inside the bench: lossless configs must produce fan-in output
-// canonically byte-identical to a monolithic sink, and drop-newest
-// configs must account for every shed event exactly.
+// Two correctness gates run inside the bench: lossless configs must
+// produce fan-in output canonically byte-identical to a monolithic sink,
+// and drop-newest configs must account for every shed event exactly.
 //
 // Results print as rows and, with --json=PATH or PINT_BENCH_JSON, land in
 // the bench-json schema for tools/check_bench_regression.py (see
@@ -186,12 +183,11 @@ std::vector<std::uint8_t> canonical_bytes(
 
 struct PipelineConfig {
   std::string name;
-  bool arena = true;
-  std::size_t async_depth = 0;  // 0 = sync
+  std::size_t async_depth = PintFramework::Builder::kDefaultObserverDepth;
   OverflowPolicy policy = OverflowPolicy::kBlock;
   unsigned observer_work = 0;
   unsigned shards = 2;
-  unsigned relay_threads = 1;  // async only; clamped to shard count
+  unsigned relay_threads = 1;  // clamped to shard count
 };
 
 struct PipelineRun {
@@ -205,10 +201,7 @@ struct PipelineRun {
 // One timed pass: submit everything, flush, codec-chunk, frame, ingest.
 PipelineRun run_pipeline(const Workload& w, const PipelineConfig& cfg) {
   auto builder = three_query_builder();
-  builder.recording_arena(cfg.arena);
-  if (cfg.async_depth > 0) {
-    builder.async_observers(cfg.async_depth, cfg.policy, cfg.relay_threads);
-  }
+  builder.async_observers(cfg.async_depth, cfg.policy, cfg.relay_threads);
 
   ShardedSink sink(builder, cfg.shards);
   DashboardObserver dashboard;
@@ -427,31 +420,15 @@ int run(int argc, char** argv) {
   const std::vector<std::uint8_t> reference = monolithic_canonical(w);
 
   // The measured matrix. *_heavy configs model an expensive sink-side
-  // observer (dashboard/detector); pipeline_sync_heap_* is the pre-PR
-  // shape (before), the rest are this PR's configurations (after).
-  //
-  // Async depth: with the chunked relay transport the ring depth is an
-  // in-flight *event budget*, not a per-event handshake count. 1024 events
-  // is barely two submit bursts (~2 x 512 packets x ~2 events/packet), so
-  // on hosts with fewer cores than threads the producer and relay are
-  // forced into lockstep — each runs for one burst, blocks, and yields.
-  // kAsyncDepth gives both sides several bursts of runway between context
-  // switches; at ~136 B/event it bounds in-flight memory at ~2 MiB/shard.
-  constexpr std::size_t kAsyncDepth = 16384;
+  // observer (dashboard/detector). The kBlock rows run the default
+  // transport depth (an in-flight *event budget*: ~16 submit bursts of
+  // runway between context switches, ~2 MiB/shard at ~136 B/event); the
+  // drop row starves it to 256 events so kDropNewest actually sheds.
   const std::vector<PipelineConfig> configs = {
-      {"pipeline_sync_heap_light", /*arena=*/false, 0, OverflowPolicy::kBlock,
-       0},
-      {"pipeline_arena_light", /*arena=*/true, 0, OverflowPolicy::kBlock, 0},
-      {"pipeline_async_block_light", /*arena=*/true, kAsyncDepth,
-       OverflowPolicy::kBlock, 0},
-      {"pipeline_sync_heap_heavy", /*arena=*/false, 0, OverflowPolicy::kBlock,
-       kHeavyWork},
-      {"pipeline_arena_heavy", /*arena=*/true, 0, OverflowPolicy::kBlock,
-       kHeavyWork},
-      {"pipeline_async_block_heavy", /*arena=*/true, kAsyncDepth,
-       OverflowPolicy::kBlock, kHeavyWork},
-      {"pipeline_async_drop_heavy", /*arena=*/true, 256,
-       OverflowPolicy::kDropNewest, kHeavyWork},
+      {.name = "pipeline_async_block_light"},
+      {.name = "pipeline_async_block_heavy", .observer_work = kHeavyWork},
+      {.name = "pipeline_async_drop_heavy", .async_depth = 256,
+       .policy = OverflowPolicy::kDropNewest, .observer_work = kHeavyWork},
   };
 
   std::uint64_t total_events = 0;  // lossless ground truth, set by 1st run
@@ -470,7 +447,7 @@ int run(int argc, char** argv) {
     if (lossless) {
       if (total_events == 0) total_events = result.sink_events;
       // Gate 1: lossless fan-in output is byte-identical (canonicalized)
-      // to the monolithic sink, whatever the delivery/allocation mode.
+      // to the monolithic sink.
       if (result.canonical != reference) {
         std::printf("GATE FAILED: %s fan-in output differs from monolithic\n",
                     cfg.name.c_str());
@@ -499,19 +476,18 @@ int run(int argc, char** argv) {
   }
   row("gates: fan-in identity OK, drop accounting exact OK");
 
-  // Relay/worker thread-scaling matrix: how the async transport behaves as
+  // Relay/worker thread-scaling matrix: how the observer transport behaves as
   // the worker (shard) and relay pools grow. On a 1-core host every row is
   // oversubscribed and the series documents scheduling overhead, not
   // speedup — which is exactly why the numbers are keyed by host profile
   // (see bench_json.h) and only ever compared within one profile. Runs in
   // smoke mode too, so CI exercises the multi-relay construction paths.
-  header("thread scaling (async transport, kBlock)");
+  header("thread scaling (observer transport, kBlock)");
   row("%-28s %14s %10s %10s", "config", "packets/s", "events", "drops");
   std::vector<PipelineConfig> scaling;
   for (const unsigned workers : {1u, 2u, 4u, 8u}) {
     PipelineConfig cfg;
     cfg.name = "scale_workers_" + std::to_string(workers);
-    cfg.async_depth = kAsyncDepth;
     cfg.shards = workers;
     scaling.push_back(std::move(cfg));
   }
@@ -521,7 +497,6 @@ int run(int argc, char** argv) {
     // scale_workers_8 as the series' shared anchor point.
     PipelineConfig cfg;
     cfg.name = "scale_relays_" + std::to_string(relays);
-    cfg.async_depth = kAsyncDepth;
     cfg.shards = 8;
     cfg.relay_threads = relays;
     scaling.push_back(std::move(cfg));

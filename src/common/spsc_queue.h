@@ -1,5 +1,5 @@
 // Bounded single-producer/single-consumer queue of typed items: the
-// per-shard observer-relay ring behind ShardedSink's async observer mode.
+// per-shard observer-relay ring behind ShardedSink's observer transport.
 // One cache-line-separated index per side, acquire/release publication —
 // the classic SPSC contract (the byte-level sibling is
 // transport/stream.h's SpscRingStream). try_push/try_pop are non-blocking;

@@ -131,17 +131,15 @@ PintFramework::Builder& PintFramework::Builder::memory_report_interval(
 
 PintFramework::Builder& PintFramework::Builder::async_observers(
     std::size_t depth, OverflowPolicy policy, unsigned relay_threads) {
+  if (depth == 0) {
+    throw std::invalid_argument("async_observers needs a nonzero depth");
+  }
   if (relay_threads == 0) {
     throw std::invalid_argument("async_observers needs >= 1 relay thread");
   }
   async_depth_ = depth;
   async_policy_ = policy;
   async_relay_threads_ = relay_threads;
-  return *this;
-}
-
-PintFramework::Builder& PintFramework::Builder::recording_arena(bool enabled) {
-  recording_arena_ = enabled;
   return *this;
 }
 
@@ -343,12 +341,6 @@ BuildResult PintFramework::Builder::build() const {
   }
   for (Binding& b : fw->bindings_) {
     const Query& q = b.spec.query;
-    if (!recording_arena_) {
-      // Stores default to arena-backed nodes; flip to the heap before any
-      // flow is recorded (the toggle requires an empty store).
-      b.decoders.set_arena(false);
-      b.recorders.set_arena(false);
-    }
     if (q.aggregation == AggregationType::kPerPacket) continue;
     const std::size_t cap =
         b.spec.memory_budget_bytes > 0 ? b.spec.memory_budget_bytes : share;

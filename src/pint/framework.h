@@ -147,15 +147,19 @@ class PintFramework {
       return memory_report_interval_time_;
     }
 
-    /// Opt-in asynchronous observer delivery for ShardedSink: each shard
-    /// worker publishes observer events into a `depth`-deep SPSC ring
+    /// Default in-flight event budget of ShardedSink's observer transport.
+    static constexpr std::size_t kDefaultObserverDepth = 16384;
+
+    /// Tunes ShardedSink's observer transport, which is always on: each
+    /// shard worker publishes observer events into a chunked SPSC ring
     /// consumed by dedicated relay threads, so expensive observer
-    /// callbacks leave the packet path. `policy` decides what a full ring
-    /// does to the worker: kBlock (lossless, bounded-memory backpressure)
-    /// or kDropNewest (events dropped and counted exactly — see
-    /// `ShardedSink::observer_counters`). Per-shard event order is
-    /// preserved either way. `depth` 0 (the default) keeps the serialized
-    /// synchronous delivery. A plain PintFramework ignores this: its
+    /// callbacks leave the packet path. `depth` is the per-shard budget of
+    /// events in flight between a worker and its relay (default
+    /// kDefaultObserverDepth). `policy` decides what a full transport does
+    /// to the worker: kBlock (the default; lossless, bounded-memory
+    /// backpressure) or kDropNewest (events dropped and counted exactly —
+    /// see `ShardedSink::observer_counters`). Per-shard event order is
+    /// preserved either way. A plain PintFramework ignores this: its
     /// observers always run inline in at_sink().
     ///
     /// `relay_threads` shards the relay stage itself: relay thread `t`
@@ -164,23 +168,16 @@ class PintFramework {
     /// while heavy observer work spreads across cores. Delivery to the
     /// registered observers remains serialized (one event at a time, under
     /// one mutex) regardless of the count, so observers never need to be
-    /// thread-safe and the default of 1 is behavior-identical to the
-    /// single-relay design. Values above the shard count are clamped —
-    /// a relay with no rings would be a no-op thread. 0 is invalid.
+    /// thread-safe. Values above the shard count are clamped — a relay
+    /// with no rings would be a no-op thread.
+    ///
+    /// \throws std::invalid_argument if `depth` or `relay_threads` is 0.
     Builder& async_observers(std::size_t depth,
                              OverflowPolicy policy = OverflowPolicy::kBlock,
                              unsigned relay_threads = 1);
     std::size_t async_observer_depth() const { return async_depth_; }
     OverflowPolicy async_observer_policy() const { return async_policy_; }
     unsigned async_relay_threads() const { return async_relay_threads_; }
-
-    /// Whether Recording-Module stores draw their per-flow nodes from a
-    /// slab arena (common/arena.h). On by default — fewer mallocs and
-    /// better locality under eviction churn, with identical behavior and
-    /// accounting; off reverts to the global heap (the bench's arena
-    /// on/off comparison).
-    Builder& recording_arena(bool enabled);
-    bool recording_arena_enabled() const { return recording_arena_; }
 
     /// Copy of this builder with the memory ceiling and every per-query
     /// budget divided by `parts`. Bounded never becomes unbounded: the
@@ -229,10 +226,9 @@ class PintFramework {
     std::size_t memory_ceiling_ = 0;   // 0 = unbounded (seed behavior)
     std::uint64_t memory_report_interval_ = 0;  // 0 = no heartbeat
     std::chrono::nanoseconds memory_report_interval_time_{0};  // 0 = off
-    std::size_t async_depth_ = 0;  // 0 = synchronous observer delivery
+    std::size_t async_depth_ = kDefaultObserverDepth;
     OverflowPolicy async_policy_ = OverflowPolicy::kBlock;
     unsigned async_relay_threads_ = 1;
-    bool recording_arena_ = true;
     StorePolicyKind default_policy_ = StorePolicyKind::kLru;
     std::vector<std::uint64_t> universe_;
     ValueExtractorRegistry registry_;

@@ -43,52 +43,34 @@ std::optional<FlowDefinition> common_flow_partition(const PintFramework& fw) {
 }
 
 // Registered on one shard's framework replica; runs on that shard's worker
-// thread. Sync mode forwards inline under the observer mutex (the pre-async
-// behavior); async mode captures the callback as an ObserverEvent and
-// publishes it to the shard's SPSC ring for the shard's relay thread.
+// thread. Each callback fills a transport slot in place (begin_publish
+// returns the chunk-resident event, or nullptr when kDropNewest shed it):
+// the event is constructed exactly once, where the relay will read it — no
+// intermediate ObserverEvent moves on the packet path.
 class ShardedSink::ShardRelay : public SinkObserver {
  public:
   ShardRelay(ShardedSink& parent, Shard& shard)
       : parent_(parent), shard_(shard) {}
 
-  // The async branches fill a transport slot in place (begin_publish
-  // returns the chunk-resident event, or nullptr when kDropNewest shed
-  // it): the event is constructed exactly once, where the relay will read
-  // it — no intermediate ObserverEvent moves on the packet path.
-
   void on_observation(const SinkContext& ctx, std::string_view query,
                       const Observation& obs) override {
-    if (parent_.async_mode_) {
-      ObserverEvent* slot = parent_.begin_publish(
-          shard_, ObserverEvent::Kind::kObservation, query);
-      if (slot != nullptr) {
-        slot->ctx = ctx;
-        slot->query = query;
-        slot->obs = obs;
-      }
-      return;
-    }
-    MutexLock lock(parent_.observer_mutex_);
-    for (SinkObserver* o : parent_.observers_) {
-      o->on_observation(ctx, query, obs);
+    ObserverEvent* slot = parent_.begin_publish(
+        shard_, ObserverEvent::Kind::kObservation, query);
+    if (slot != nullptr) {
+      slot->ctx = ctx;
+      slot->query = query;
+      slot->obs = obs;
     }
   }
 
   void on_path_decoded(const SinkContext& ctx, std::string_view query,
                        const std::vector<SwitchId>& path) override {
-    if (parent_.async_mode_) {
-      ObserverEvent* slot = parent_.begin_publish(
-          shard_, ObserverEvent::Kind::kPath, query);
-      if (slot != nullptr) {
-        slot->ctx = ctx;
-        slot->query = query;
-        slot->set_path(path);
-      }
-      return;
-    }
-    MutexLock lock(parent_.observer_mutex_);
-    for (SinkObserver* o : parent_.observers_) {
-      o->on_path_decoded(ctx, query, path);
+    ObserverEvent* slot = parent_.begin_publish(
+        shard_, ObserverEvent::Kind::kPath, query);
+    if (slot != nullptr) {
+      slot->ctx = ctx;
+      slot->query = query;
+      slot->set_path(path);
     }
   }
 
@@ -96,18 +78,11 @@ class ShardedSink::ShardRelay : public SinkObserver {
   // (shards hold disjoint flows); use ShardedSink::memory_report() for the
   // merged view.
   void on_memory_report(const MemoryReport& report) override {
-    if (parent_.async_mode_) {
-      ObserverEvent* slot = parent_.begin_publish(
-          shard_, ObserverEvent::Kind::kMemory, /*query=*/{});
-      if (slot != nullptr) {
-        slot->overflow = std::make_unique<ObserverEvent::Overflow>();
-        slot->overflow->memory = std::make_unique<MemoryReport>(report);
-      }
-      return;
-    }
-    MutexLock lock(parent_.observer_mutex_);
-    for (SinkObserver* o : parent_.observers_) {
-      o->on_memory_report(report);
+    ObserverEvent* slot = parent_.begin_publish(
+        shard_, ObserverEvent::Kind::kMemory, /*query=*/{});
+    if (slot != nullptr) {
+      slot->overflow = std::make_unique<ObserverEvent::Overflow>();
+      slot->overflow->memory = std::make_unique<MemoryReport>(report);
     }
   }
 
@@ -115,6 +90,46 @@ class ShardedSink::ShardRelay : public SinkObserver {
   ShardedSink& parent_;
   Shard& shard_;
 };
+
+namespace {
+
+// Chunked transport sizing: the observer depth is an *event* budget. Chunk
+// capacity shrinks with small depths (depth/4, so a depth-2 transport
+// still blocks after ~2 events) and caps at kEventChunkCapacity for large
+// ones; the chunk ring holds enough chunks to cover the depth.
+std::size_t chunk_capacity_for(std::size_t observer_depth) {
+  return std::min<std::size_t>(ShardedSink::kEventChunkCapacity,
+                               std::max<std::size_t>(1, observer_depth / 4));
+}
+
+std::size_t chunk_count_for(std::size_t observer_depth) {
+  const std::size_t capacity = chunk_capacity_for(observer_depth);
+  return (observer_depth + capacity - 1) / capacity;
+}
+
+}  // namespace
+
+// The recycle ring is sized past the total chunk population so returning a
+// buffer cannot fail.
+ShardedSink::Shard::Shard(std::size_t queue_depth, std::size_t observer_depth)
+    : queue(queue_depth),
+      obs_ring(chunk_count_for(observer_depth)),
+      obs_recycle(obs_ring.capacity() + 2),
+      chunk_capacity(chunk_capacity_for(observer_depth)),
+      wake_occupancy(std::max<std::size_t>(1, obs_ring.capacity() / 2)) {
+  open_chunk = std::make_unique<EventChunk>();
+  open_chunk->reserve(chunk_capacity);
+  // Pre-populate the recycle ring with the full chunk population, each
+  // buffer already reserved. The transport is then zero-allocation from
+  // the first event — without this, a worker that outruns its relay (the
+  // common case while the relay sleeps) would malloc and first-touch every
+  // chunk on the hot path before recycling starts.
+  for (std::size_t c = 0; c < obs_ring.capacity() + 1; ++c) {
+    auto chunk = std::make_unique<EventChunk>();
+    chunk->reserve(chunk_capacity);
+    if (!obs_recycle.try_push(std::move(chunk))) break;
+  }
+}
 
 ShardedSink::ShardedSink(const PintFramework::Builder& builder,
                          unsigned num_shards, std::size_t queue_depth) {
@@ -129,8 +144,8 @@ ShardedSink::ShardedSink(const PintFramework::Builder& builder,
   if (queue_depth == 0) {
     throw std::invalid_argument("ShardedSink needs a nonzero queue depth");
   }
-  async_mode_ = builder.async_observer_depth() > 0;
-  async_policy_ = builder.async_observer_policy();
+  observer_policy_ = builder.async_observer_policy();
+  const std::size_t observer_depth = builder.async_observer_depth();
   // Each shard holds 1/num_shards of the flows, so it gets 1/num_shards of
   // every Recording-Module budget; with no budgets set this is a no-op copy.
   const PintFramework::Builder replica_builder =
@@ -139,43 +154,9 @@ ShardedSink::ShardedSink(const PintFramework::Builder& builder,
   shards_.reserve(num_shards);
   shard_relays_.reserve(num_shards);
   for (unsigned s = 0; s < num_shards; ++s) {
-    auto shard = std::make_unique<Shard>(queue_depth);
+    auto shard = std::make_unique<Shard>(queue_depth, observer_depth);
     shard->fw = replica_builder.build_or_throw();
-    if (async_mode_) {
-      // Chunked transport sizing: the configured depth is an *event*
-      // budget. Chunk capacity shrinks with small depths (depth/4, so a
-      // depth-2 ring still blocks after ~2 events, as the per-event ring
-      // did) and caps at kEventChunkCapacity for large ones; the chunk
-      // ring holds enough chunks to cover the depth. The recycle ring is
-      // sized past the total chunk population so returning a buffer
-      // cannot fail.
-      const std::size_t depth = builder.async_observer_depth();
-      shard->chunk_capacity = std::min<std::size_t>(
-          kEventChunkCapacity, std::max<std::size_t>(1, depth / 4));
-      const std::size_t chunks =
-          (depth + shard->chunk_capacity - 1) / shard->chunk_capacity;
-      shard->obs_ring =
-          std::make_unique<SpscQueue<std::unique_ptr<EventChunk>>>(chunks);
-      shard->obs_recycle =
-          std::make_unique<SpscQueue<std::unique_ptr<EventChunk>>>(
-              shard->obs_ring->capacity() + 2);
-      shard->open_chunk = std::make_unique<EventChunk>();
-      shard->open_chunk->reserve(shard->chunk_capacity);
-      // Pre-populate the recycle ring with the full chunk population, each
-      // buffer already reserved. The transport is then zero-allocation from
-      // the first event — without this, a worker that outruns its relay
-      // (the common case while the relay sleeps) would malloc and
-      // first-touch every chunk on the hot path before recycling starts.
-      for (std::size_t c = 0; c < shard->obs_ring->capacity() + 1; ++c) {
-        auto chunk = std::make_unique<EventChunk>();
-        chunk->reserve(shard->chunk_capacity);
-        if (!shard->obs_recycle->try_push(std::move(chunk))) break;
-      }
-      shard->wake_occupancy =
-          std::max<std::size_t>(1, shard->obs_ring->capacity() / 2);
-    }
-    shard_relays_.push_back(
-        std::make_unique<ShardRelay>(*this, *shard));
+    shard_relays_.push_back(std::make_unique<ShardRelay>(*this, *shard));
     shard->fw->add_observer(shard_relays_.back().get());
     shards_.push_back(std::move(shard));
   }
@@ -202,27 +183,22 @@ ShardedSink::ShardedSink(const PintFramework::Builder& builder,
   } else {
     partition_def_ = *def;
   }
-  if (async_mode_) {
-    // Relay sharding: relay t exclusively owns shards s % relays == t, so
-    // every ring keeps exactly one consumer. More relays than shards would
-    // only add idle threads — clamp. The assignment must exist before any
-    // worker starts (workers publish through shard->relay).
-    const unsigned relay_count =
-        std::min<unsigned>(std::max(1u, builder.async_relay_threads()),
-                           num_shards);
-    relays_.reserve(relay_count);
-    for (unsigned t = 0; t < relay_count; ++t) {
-      relays_.push_back(std::make_unique<RelayThread>());
-    }
-    for (unsigned s = 0; s < num_shards; ++s) {
-      RelayThread& relay = *relays_[s % relay_count];
-      shards_[s]->relay = &relay;
-      relay.shards.push_back(shards_[s].get());
-    }
-    for (auto& relay : relays_) {
-      relay->thread =
-          std::thread([this, r = relay.get()] { relay_loop(*r); });
-    }
+  // Relay sharding: relay t exclusively owns shards s % relays == t, so
+  // every ring keeps exactly one consumer. More relays than shards would
+  // only add idle threads — clamp. The assignment must exist before any
+  // worker starts (workers publish through shard->relay).
+  const unsigned num_relays = std::min(builder.async_relay_threads(), num_shards);
+  relays_.reserve(num_relays);
+  for (unsigned t = 0; t < num_relays; ++t) {
+    relays_.push_back(std::make_unique<RelayThread>());
+  }
+  for (unsigned s = 0; s < num_shards; ++s) {
+    RelayThread& relay = *relays_[s % num_relays];
+    shards_[s]->relay = &relay;
+    relay.shards.push_back(shards_[s].get());
+  }
+  for (auto& relay : relays_) {
+    relay->thread = std::thread([this, r = relay.get()] { relay_loop(*r); });
   }
   for (auto& shard : shards_) {
     shard->worker = std::thread([this, s = shard.get()] { worker_loop(*s); });
@@ -255,20 +231,18 @@ ShardedSink::~ShardedSink() {
   for (auto& shard : shards_) {
     if (shard->worker.joinable()) shard->worker.join();
   }
-  if (!relays_.empty()) {
-    // Workers are gone, so no more events can be published; each relay
-    // drains what remains of its own rings (kBlock stays loss-free
-    // through destruction) and exits.
-    relay_stop_.store(true, std::memory_order_seq_cst);
-    for (auto& relay : relays_) {
-      {
-        MutexLock lock(relay->mutex);
-      }
-      relay->wake.notify_one();
+  // Workers are gone, so no more events can be published; each relay
+  // drains what remains of its own rings (kBlock stays loss-free through
+  // destruction) and exits.
+  relay_stop_.store(true, std::memory_order_seq_cst);
+  for (auto& relay : relays_) {
+    {
+      MutexLock lock(relay->mutex);
     }
-    for (auto& relay : relays_) {
-      if (relay->thread.joinable()) relay->thread.join();
-    }
+    relay->wake.notify_one();
+  }
+  for (auto& relay : relays_) {
+    if (relay->thread.joinable()) relay->thread.join();
   }
 }
 
@@ -339,7 +313,6 @@ void ShardedSink::flush() {
     }
     shard->flush_waiters.fetch_sub(1, std::memory_order_seq_cst);
   }
-  if (!async_mode_) return;
   // Every flushed packet's events are published (workers publish inside
   // at_sink, before marking the batch done); wait for the relays to
   // deliver them so post-flush reads of observer state are race-free.
@@ -389,9 +362,9 @@ void ShardedSink::add_observer(SinkObserver* observer) {
 // Coalescing: once a producer has won the CAS, the word reads kNotified
 // until the sleeper wakes — every later producer in the same sleep episode
 // skips the mutex+notify entirely. On a busy system the word reads kAwake
-// and *no* producer ever touches the mutex. This is what fixes kBlock
-// async losing to sync on one core: the old code paid a mutex+notify per
-// event the entire time the relay was runnable but not yet scheduled.
+// and *no* producer ever touches the mutex — rather than paying a
+// mutex+notify per event the entire time the relay is runnable but not
+// yet scheduled.
 
 void ShardedSink::try_wake(std::atomic<WakeState>& state, Mutex& mutex,
                            CondVar& cv) {
@@ -428,9 +401,9 @@ bool ShardedSink::try_seal_open_chunk(Shard& shard) {
   const std::size_t sealed = shard.open_chunk->size();
   // try_push leaves the value untouched on a full ring, so a failed seal
   // keeps the chunk (and its events) exactly where they were.
-  if (!shard.obs_ring->try_push(std::move(shard.open_chunk))) return false;
+  if (!shard.obs_ring.try_push(std::move(shard.open_chunk))) return false;
   shard.obs_sealed += sealed;
-  if (!shard.obs_recycle->try_pop(shard.open_chunk) ||
+  if (!shard.obs_recycle.try_pop(shard.open_chunk) ||
       shard.open_chunk == nullptr) {
     // Startup only: once every buffer exists, the recycle ring (sized past
     // the chunk population) always has one.
@@ -448,7 +421,7 @@ ShardedSink::ObserverEvent* ShardedSink::begin_publish(
     // has no slot. Shed the *incoming* event if the policy and its
     // priority class allow (exact accounting: every emitted event lands
     // in published or dropped, never both, never neither)...
-    if (async_policy_ == OverflowPolicy::kDropNewest &&
+    if (observer_policy_ == OverflowPolicy::kDropNewest &&
         event_sheddable(kind, query)) {
       shard.obs_dropped.fetch_add(1, std::memory_order_relaxed);
       return nullptr;
@@ -502,7 +475,7 @@ void ShardedSink::flush_published(Shard& shard) {
   // silently inverting the policy (and collapsing the shedding config's
   // packet throughput). Under kDropNewest every event takes the ring and
   // its admission-time drop accounting.
-  if (async_policy_ == OverflowPolicy::kBlock &&
+  if (observer_policy_ == OverflowPolicy::kBlock &&
       shard.obs_consumed.load(std::memory_order_acquire) ==
           shard.obs_sealed + shard.obs_inline) {
     const std::size_t n = shard.open_chunk->size();
@@ -529,7 +502,7 @@ void ShardedSink::flush_published(Shard& shard) {
   // reached the ring — a counted event stranded in the open chunk would
   // deadlock that wait.
   if (!shard.open_chunk->empty() && !try_seal_open_chunk(shard)) {
-    if (async_policy_ == OverflowPolicy::kDropNewest) {
+    if (observer_policy_ == OverflowPolicy::kDropNewest) {
       // A full ring under kDropNewest means the transport said "shed":
       // blocking here would stall the packet path once per batch waiting
       // for the relay — on a busy single core that forces a worker→relay
@@ -582,7 +555,7 @@ void ShardedSink::flush_published(Shard& shard) {
   // per batch. A sub-threshold tail is never stranded: the worker wakes
   // the relay unconditionally when it goes idle, as do the blocked path
   // and flush().
-  if (shard.obs_ring->approx_size() >= shard.wake_occupancy) {
+  if (shard.obs_ring.approx_size() >= shard.wake_occupancy) {
     try_wake(shard.relay->state, shard.relay->mutex, shard.relay->wake);
   }
 }
@@ -629,7 +602,7 @@ std::size_t ShardedSink::drain_rings(RelayThread& relay) {
     // acquisition covers the whole chunk; per-shard FIFO is preserved
     // (chunks are sealed and popped in one order).
     std::unique_ptr<EventChunk> chunk;
-    if (!shard->obs_ring->try_pop(chunk) || chunk == nullptr) continue;
+    if (!shard->obs_ring.try_pop(chunk) || chunk == nullptr) continue;
     {
       MutexLock lock(observer_mutex_);
       for (const ObserverEvent& e : *chunk) {
@@ -642,7 +615,7 @@ std::size_t ShardedSink::drain_rings(RelayThread& relay) {
     // is sized past the chunk population, but if a push ever failed the
     // unique_ptr would simply free the buffer.
     chunk->clear();
-    (void)shard->obs_recycle->try_push(std::move(chunk));
+    (void)shard->obs_recycle.try_push(std::move(chunk));
     // After the callbacks: flush()'s acquire read of consumed must order
     // the callbacks' side effects before flush() returns.
     shard->obs_consumed.fetch_add(n, std::memory_order_release);
@@ -660,7 +633,7 @@ void ShardedSink::relay_loop(RelayThread& relay) {
   // would spin the relay against a core the worker needs.
   const auto work_pending = [&relay] {
     for (Shard* shard : relay.shards) {
-      if (shard->obs_ring->approx_size() > 0) return true;
+      if (shard->obs_ring.approx_size() > 0) return true;
     }
     return false;
   };
@@ -700,7 +673,7 @@ void ShardedSink::relay_loop(RelayThread& relay) {
 
 TransportCounters ShardedSink::observer_counters() const {
   TransportCounters t;
-  t.active = async_mode_;
+  t.active = true;
   for (const auto& shard : shards_) {
     t.observer_events +=
         shard->obs_published.load(std::memory_order_acquire);
@@ -781,7 +754,7 @@ void ShardedSink::worker_loop(Shard& shard) {
       // Fold this batch's event count and wake the relay — once per
       // batch, before the batch stops counting as pending (flush()'s
       // ordering depends on it).
-      if (shard.relay != nullptr) flush_published(shard);
+      flush_published(shard);
       if (shard.pending_batches.fetch_sub(1, std::memory_order_seq_cst) ==
               1 &&
           shard.flush_waiters.load(std::memory_order_seq_cst) > 0) {
@@ -801,7 +774,7 @@ void ShardedSink::worker_loop(Shard& shard) {
     // wake hysteresis — a sub-threshold tail is delivered as soon as the
     // worker has nothing more to add to it, not when the next burst
     // happens to arrive.
-    if (shard.relay != nullptr && shard.obs_ring->approx_size() > 0) {
+    if (shard.obs_ring.approx_size() > 0) {
       try_wake(shard.relay->state, shard.relay->mutex, shard.relay->wake);
     }
     MutexLock lock(shard.mutex);

@@ -78,31 +78,33 @@ std::optional<FlowDefinition> common_flow_partition(const PintFramework& fw);
 ///    from racing NIC queues. Submitted packets (and the optional report
 ///    buffer) must stay alive and unmodified until the next `flush()`
 ///    returns.
-///  * Observers registered through `add_observer()` are invoked from shard
-///    worker threads but serialized under an internal mutex, so ordinary
+///  * Observers registered through `add_observer()` never run under the
+///    packet path's locks: each shard worker publishes its events into a
+///    per-shard chunked SPSC ring, and relay threads deliver them,
+///    serialized under one mutex and in per-shard FIFO order, so ordinary
 ///    single-threaded observers (the `src/apps/` adapters) work unchanged.
-///    With `Builder::async_observers(depth, policy, relay_threads)` the
-///    callbacks instead leave the packet path entirely: each shard worker
-///    publishes events into a per-shard SPSC ring, and `relay_threads`
-///    dedicated relay threads deliver them (still serialized under one
-///    mutex, still per-shard FIFO). Relay thread `t` exclusively owns the
-///    rings of shards `s % relay_threads == t`, drains them in batches,
-///    and producers coalesce wakeups — at most one CV signal per relay
-///    sleep episode, not one per event. A full ring applies the explicit
-///    OverflowPolicy — kBlock (lossless backpressure with bounded
-///    exponential backoff) or kDropNewest (drop the event, count it
-///    exactly — see `observer_counters()`). Under kDropNewest only events
-///    of *sheddable* queries are dropped: those at the minimum registered
+///    Relay thread `t` exclusively owns the rings of shards
+///    `s % relay_threads == t`, drains them in batches, and producers
+///    coalesce wakeups — at most one CV signal per relay sleep episode,
+///    not one per event. While its relay is idle a worker delivers its
+///    own events inline (see `flush_published`). The transport defaults to
+///    `Builder::kDefaultObserverDepth` events in flight per shard, kBlock
+///    and one relay; `Builder::async_observers(depth, policy,
+///    relay_threads)` tunes it. A full ring applies the OverflowPolicy —
+///    kBlock (lossless backpressure with bounded exponential backoff) or
+///    kDropNewest (drop the event, count it exactly — see
+///    `observer_counters()`). Under kDropNewest only events of
+///    *sheddable* queries are dropped: those at the minimum registered
 ///    QuerySpec::priority (with all-default priorities that is every query
 ///    — the pre-priority behavior). Higher-priority events and memory
 ///    reports (the operator's view of the shedding itself) instead take
 ///    the blocking path, counted in `observer_blocked_waits`. Observers
 ///    registered on the Builder itself bypass all of this and must be
 ///    thread-safe — prefer `add_observer()` here.
-///  * `flush()` waits for every batch submitted *before* the call — and, in
-///    async-observer mode, for the relays to drain every event those
-///    batches published. Quiesce (join or barrier) producer threads first
-///    if "everything" must mean their batches too.
+///  * `flush()` waits for every batch submitted *before* the call, and for
+///    the relays to deliver every event those batches published. Quiesce
+///    (join or barrier) producer threads first if "everything" must mean
+///    their batches too.
 ///  * The merged inference accessors and `shard()` must only be called when
 ///    the sink is quiescent (after `flush()`, before the next `submit()`).
 class ShardedSink {
@@ -168,16 +170,13 @@ class ShardedSink {
   /// before the first `submit()`.
   void add_observer(SinkObserver* observer) PINT_EXCLUDES(observer_mutex_);
 
-  /// True when the Builder enabled `async_observers`.
-  bool async_observers() const { return async_mode_; }
-
   /// Relay threads actually running: the Builder's `relay_threads` clamped
-  /// to the shard count (async mode), or 0 in sync mode.
+  /// to the shard count.
   unsigned relay_threads() const {
     return static_cast<unsigned>(relays_.size());
   }
 
-  /// Async observer-stage accounting (`active` only in async mode):
+  /// Observer-stage accounting (`active` is always set):
   /// `observer_events` = events published to the relay rings (== events
   /// delivered once `flush()` returns), `observer_drops` = events the
   /// kDropNewest overflow policy refused (exact: published + dropped is
@@ -192,7 +191,7 @@ class ShardedSink {
   /// inspection. Sums to at most the published total: a shard worker that
   /// stays ahead of its relay delivers inline itself (see
   /// `flush_published`), and those events appear in no relay's count. Safe
-  /// any time; exact when quiescent. Empty in sync mode.
+  /// any time; exact when quiescent.
   std::vector<std::uint64_t> relay_deliveries() const;
 
   unsigned num_shards() const {
@@ -265,8 +264,8 @@ class ShardedSink {
   // names point at the shard framework's registered specs (alive for the
   // sink's lifetime); paths and memory reports are copied.
   //
-  // Path events dominated the async overhead when this struct held a
-  // std::vector: every decoded path paid a malloc on the shard worker and
+  // Path events dominated the transport's overhead when this struct held
+  // a std::vector: every decoded path paid a malloc on the shard worker and
   // a free on the relay (glibc's cross-thread-free slow path), per event.
   // Typical paths now live inline in the event, and every byte here is
   // deliberate: the transport writes and reads sizeof(ObserverEvent) per
@@ -345,25 +344,26 @@ class ShardedSink {
   };
 
   struct Shard {
-    explicit Shard(std::size_t queue_depth) : queue(queue_depth) {}
+    // `observer_depth` is the transport's in-flight event budget (see the
+    // constructor in the .cc for how it maps onto chunks).
+    Shard(std::size_t queue_depth, std::size_t observer_depth);
 
     std::unique_ptr<PintFramework> fw;
     MpmcQueue<Batch> queue;  // multi-producer front-end, worker consumes
-    // Async observer transport (null in sync mode). Events travel in
-    // *chunks* — pointer-sized ring payloads — not one ring slot per
-    // event: the worker constructs each event exactly once, in place, in
-    // its open chunk, seals the chunk into obs_ring (an 8-byte move), and
-    // the relay delivers the whole chunk under one observer-mutex
-    // acquisition, then hands the emptied buffer back through obs_recycle.
-    // After warmup the event path touches the allocator zero times. The
-    // per-event ring this replaces paid four member-wise ObserverEvent
-    // moves per event (~100ns/event of pure memcpy and cell resets) — the
-    // dominant term in async-vs-sync on one core.
+    // Observer transport. Events travel in *chunks* — pointer-sized ring
+    // payloads — not one ring slot per event: the worker constructs each
+    // event exactly once, in place, in its open chunk, seals the chunk
+    // into obs_ring (an 8-byte move), and the relay delivers the whole
+    // chunk under one observer-mutex acquisition, then hands the emptied
+    // buffer back through obs_recycle. After warmup the event path
+    // touches the allocator zero times; a per-event ring would pay four
+    // member-wise ObserverEvent moves per event (~100ns/event of pure
+    // memcpy and cell resets).
     //
     // The shard worker is the sole producer of obs_ring and sole consumer
     // of obs_recycle; its relay (fixed at construction) is the reverse.
-    std::unique_ptr<SpscQueue<std::unique_ptr<EventChunk>>> obs_ring;
-    std::unique_ptr<SpscQueue<std::unique_ptr<EventChunk>>> obs_recycle;
+    SpscQueue<std::unique_ptr<EventChunk>> obs_ring;
+    SpscQueue<std::unique_ptr<EventChunk>> obs_recycle;
     RelayThread* relay = nullptr;
 
     // -- shard-worker-written counters (single writer; others read) -----
@@ -385,7 +385,7 @@ class ShardedSink {
     // configured depths still mean "backpressure after ~depth events", not
     // "after kEventChunkCapacity * ring slots".
     std::unique_ptr<EventChunk> open_chunk;
-    std::size_t chunk_capacity = kEventChunkCapacity;
+    const std::size_t chunk_capacity;
     // Wake hysteresis (chunks): flush_published() only wakes the relay
     // once the ring holds this many chunks (half its capacity). On few
     // cores this is what keeps worker and relay from ping-ponging every
@@ -393,7 +393,7 @@ class ShardedSink {
     // stores vs. observer/encoder state) resident. Liveness never
     // depends on it: the blocked path, flush(), and the worker's
     // going-idle path all wake unconditionally.
-    std::size_t wake_occupancy = 1;
+    const std::size_t wake_occupancy;
     // Worker-exact transport totals (plain: written and read only by the
     // shard worker): events sealed into obs_ring, and events the worker
     // delivered inline (flush_published()'s fast path). Their sum equals
@@ -443,9 +443,8 @@ class ShardedSink {
     std::thread worker;
   };
 
-  // Per-shard framework observer: forwards callbacks to observers_ under
-  // observer_mutex_ (sync mode) or publishes them to the shard's ring
-  // (async mode).
+  // Per-shard framework observer: publishes callbacks to the shard's
+  // transport.
   class ShardRelay;
 
   void worker_loop(Shard& shard) PINT_EXCLUDES(observer_mutex_);
@@ -488,11 +487,10 @@ class ShardedSink {
   std::vector<std::unique_ptr<ShardRelay>> shard_relays_;
   Mutex observer_mutex_;
   std::vector<SinkObserver*> observers_ PINT_GUARDED_BY(observer_mutex_);
-  // Async observer stage. relays_ is fixed at construction (shard->relay
+  // Relay stage. relays_ is fixed at construction (shard->relay
   // assignment is immutable); relay_stop_ is the only cross-relay word and
   // flips exactly once, in the destructor.
-  bool async_mode_ = false;
-  OverflowPolicy async_policy_ = OverflowPolicy::kBlock;
+  OverflowPolicy observer_policy_ = OverflowPolicy::kBlock;
   std::vector<std::unique_ptr<RelayThread>> relays_;
   std::atomic<bool> relay_stop_{false};
 };

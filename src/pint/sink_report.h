@@ -73,26 +73,28 @@ struct MemoryCounters {
 };
 
 /// What a bounded stage does when its buffer cannot take the next item —
-/// BASEL-style explicit admission: the overflow behavior of the async
-/// observer ring (ShardedSink) is a specified policy, not an accident of
+/// BASEL-style explicit admission: the overflow behavior of the observer
+/// relay ring (ShardedSink) is a specified policy, not an accident of
 /// queue growth. Mirrors the fan-in's BackpressurePolicy one layer down.
 enum class OverflowPolicy : std::uint8_t {
   kBlock,       ///< the producer waits for the consumer (lossless)
   kDropNewest,  ///< the new item is dropped and counted (bounded latency)
 };
 
-/// Fan-in transport accounting: what happened to the framed report stream
-/// between this pipeline's sinks and the collector. All-zeros
-/// (`active == false`) everywhere except reports stamped by a fan-in
-/// pipeline (sim/fanin.h), so local-sink report streams are unchanged.
-/// `frames_dropped` counts payload frames the drop-newest backpressure
-/// policy refused to ship (BASEL-style: admission under pressure is an
-/// explicit, observable policy, not an accident of queue growth).
+/// Transport accounting, read on demand — never carried per packet. The
+/// frame fields say what happened to the framed report stream between a
+/// fan-in pipeline's sinks and the collector
+/// (`FanInPipeline::transport_counters`, sim/fanin.h); `frames_dropped`
+/// counts payload frames the drop-newest backpressure policy refused to
+/// ship (BASEL-style: admission under pressure is an explicit, observable
+/// policy, not an accident of queue growth).
 ///
-/// The `observer_*` fields account the async observer stage (ShardedSink
-/// with `Builder::async_observers`): events relayed off the packet path,
+/// The `observer_*` fields account ShardedSink's observer transport
+/// (`ShardedSink::observer_counters`): events relayed off the packet path,
 /// and events the kDropNewest overflow policy refused — exact counts, so
 /// published + dropped equals every event the frameworks emitted.
+/// `active` is set by both readers; a value-initialized struct is the
+/// all-zeros "nothing read" state.
 struct TransportCounters {
   std::uint64_t frames_shipped = 0;  ///< payload frames written to streams
   std::uint64_t frames_dropped = 0;  ///< payload frames dropped (drop-newest)
@@ -100,7 +102,7 @@ struct TransportCounters {
   std::uint64_t blocked_waits = 0;   ///< writer stalls under kBlock policy
   std::uint64_t observer_events = 0;  ///< events published to the relay ring
   std::uint64_t observer_drops = 0;   ///< events dropped (kDropNewest ring)
-  /// Full-ring stalls async-observer producers sat through (kBlock) —
+  /// Full-ring stalls observer-transport producers sat through (kBlock) —
   /// kept separate from `blocked_waits` so ring pressure (remedy: deeper
   /// ring / cheaper observers) and stream pressure (remedy: larger
   /// stream capacity) stay attributable.
@@ -148,7 +150,6 @@ class SinkReport {
   void clear() {
     count_ = 0;
     memory = MemoryCounters{};
-    transport = TransportCounters{};
   }
   bool empty() const { return count_ == 0; }
   std::size_t size() const { return count_; }
@@ -184,10 +185,6 @@ class SinkReport {
   /// (`bounded == false`) unless the framework was built with a memory
   /// ceiling or per-query budgets.
   MemoryCounters memory;
-
-  /// Fan-in transport accounting; all-zeros (`active == false`) unless
-  /// stamped by a FanInPipeline (see `FanInPipeline::epoch_report`).
-  TransportCounters transport;
 
  private:
   std::array<QueryObservation, kMaxQueriesPerPacket> entries_{};

@@ -528,10 +528,9 @@ TransportCounters FanInPipeline::transport_counters() const {
     t.frames_dropped += sender->writer().frames_dropped();
     t.bytes_shipped += sender->bytes_shipped();
     t.blocked_waits += sender->blocked_waits();
-    // Async observer-stage accounting (zero when the sinks deliver
-    // synchronously) rides its own fields, so epoch_report() exposes the
-    // whole pipeline's admission behavior with stream-writer and
-    // observer-ring pressure separately attributable.
+    // Observer-stage accounting rides its own fields, so the merged view
+    // exposes the whole pipeline's admission behavior with stream-writer
+    // and observer-ring pressure separately attributable.
     const TransportCounters obs = sender->sink().observer_counters();
     t.observer_events += obs.observer_events;
     t.observer_drops += obs.observer_drops;
@@ -542,12 +541,6 @@ TransportCounters FanInPipeline::transport_counters() const {
     t.frames_resync_discarded += s->frames_resync_discarded();
   }
   return t;
-}
-
-SinkReport FanInPipeline::epoch_report() const {
-  SinkReport report;
-  report.transport = transport_counters();
-  return report;
 }
 
 std::uint64_t FanInPipeline::bytes_shipped() const {

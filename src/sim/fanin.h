@@ -34,7 +34,7 @@
 ///  * kBlock — the sink waits for the collector to drain (lossless);
 ///  * kDropNewest — the frame is dropped and counted; the receiver also
 ///    sees the sequence gap. Exact drop counts surface in
-///    `FanInPipeline::epoch_report()` (a SinkReport with TransportCounters).
+///    `FanInPipeline::transport_counters()`.
 ///    Only frames of the *lowest-priority* query class are droppable
 ///    (QuerySpec::priority): each epoch ships one self-contained record
 ///    stream per priority class, highest first, and higher classes always
@@ -386,11 +386,6 @@ class FanInPipeline {
   /// Merged transport accounting across every sink's stream, including
   /// sender reconnect/resync counters for daemon kinds.
   TransportCounters transport_counters() const;
-
-  /// A SinkReport carrying the merged TransportCounters (`active` set) —
-  /// the fan-in's per-epoch operational report, shaped like every other
-  /// sink report so observers and dashboards reuse their plumbing.
-  SinkReport epoch_report() const;
 
   /// Total framed bytes shipped sink -> collector so far.
   std::uint64_t bytes_shipped() const;

@@ -1,17 +1,20 @@
-// Async observer delivery (Builder::async_observers + ShardedSink relay
-// thread). Load-bearing checks: (1) under kBlock, delivery is loss-free
-// and per-shard ordered — the captured stream canonicalizes to exactly the
-// synchronous stream; (2) under kDropNewest with a tiny ring and a slow
-// observer, drop counters are exact (delivered + dropped == every event the
-// frameworks emitted); (3) the SinkReport buffers stay byte-identical to
-// the single-threaded sink — async only moves callbacks, never results;
-// (4) flush() drains the relay, so post-flush observer state is complete.
+// Observer delivery through ShardedSink's relay transport (on by default,
+// tuned by Builder::async_observers). Load-bearing checks: (1) under
+// kBlock, delivery is loss-free and per-shard ordered — the captured
+// stream canonicalizes to exactly the monolithic framework's stream;
+// (2) under kDropNewest with a tiny ring and a slow observer, drop
+// counters are exact (delivered + dropped == every event the frameworks
+// emitted); (3) the SinkReport buffers stay byte-identical to the
+// single-threaded sink — the transport only moves callbacks, never
+// results; (4) flush() drains the relay, so post-flush observer state is
+// complete.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <map>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -88,8 +91,8 @@ std::vector<Packet> make_encoded_traffic() {
 }
 
 // Captures the full observer stream. Registered through
-// ShardedSink::add_observer, so callbacks arrive serialized (sync mode) or
-// from the single relay thread (async mode) — no internal locking needed.
+// ShardedSink::add_observer, so callbacks arrive serialized under the
+// sink's observer mutex — no internal locking needed.
 struct RecordingObserver : SinkObserver {
   struct Rec {
     SinkContext ctx;
@@ -131,6 +134,16 @@ std::vector<std::uint8_t> canonical_bytes(
   return enc.finish();
 }
 
+// The reference stream: one monolithic framework, observers inline.
+RecordingObserver monolithic_reference(std::span<const Packet> packets) {
+  RecordingObserver obs;
+  const auto fw = three_query_builder().build_or_throw();
+  fw->add_observer(&obs);
+  SinkReport report;
+  for (const Packet& p : packets) fw->at_sink(p, kHops, report);
+  return obs;
+}
+
 // Runs the traffic through a ShardedSink built from `builder`, returns the
 // captured observer stream (flushed).
 RecordingObserver run_sink(const PintFramework::Builder& builder,
@@ -145,23 +158,17 @@ RecordingObserver run_sink(const PintFramework::Builder& builder,
   sink.add_observer(&obs);
   sink.submit(packets, kHops, reports);
   sink.flush();
-  if (sink.async_observers()) {
-    // Post-flush, the relay has delivered everything it will ever deliver
-    // for these packets; counters must agree with what we saw.
-    const TransportCounters t = sink.observer_counters();
-    EXPECT_EQ(t.observer_events, obs.records.size());
-  }
+  // Post-flush, the relay has delivered everything it will ever deliver
+  // for these packets; counters must agree with what we saw.
+  const TransportCounters t = sink.observer_counters();
+  EXPECT_EQ(t.observer_events, obs.records.size());
   return obs;
 }
 
 TEST(AsyncObservers, BlockModeIsLossFreeAndCanonicallyIdentical) {
   const std::vector<Packet> packets = make_encoded_traffic();
-  const auto builder = three_query_builder();
-
-  std::vector<SinkReport> sync_reports(packets.size());
-  const RecordingObserver sync_obs =
-      run_sink(builder, 2, packets, sync_reports);
-  ASSERT_FALSE(sync_obs.records.empty());
+  const RecordingObserver ref_obs = monolithic_reference(packets);
+  ASSERT_FALSE(ref_obs.records.empty());
 
   auto async_builder = three_query_builder();
   async_builder.async_observers(64, OverflowPolicy::kBlock);
@@ -170,12 +177,38 @@ TEST(AsyncObservers, BlockModeIsLossFreeAndCanonicallyIdentical) {
     const RecordingObserver async_obs =
         run_sink(async_builder, shards, packets, reports);
     // Loss-free: same number of events, and the canonicalized streams are
-    // byte-identical to synchronous delivery.
-    EXPECT_EQ(async_obs.records.size(), sync_obs.records.size());
+    // byte-identical to the monolithic framework's inline delivery.
+    EXPECT_EQ(async_obs.records.size(), ref_obs.records.size());
     EXPECT_EQ(canonical_bytes(async_obs.records),
-              canonical_bytes(sync_obs.records))
+              canonical_bytes(ref_obs.records))
         << shards << " shards";
   }
+}
+
+TEST(AsyncObservers, DefaultTransportIsLossFreeAndCanonicallyIdentical) {
+  // No async_observers call: the sink still delivers through the relay
+  // transport, at its default depth, kBlock and one relay.
+  const std::vector<Packet> packets = make_encoded_traffic();
+  const RecordingObserver reference = monolithic_reference(packets);
+  ASSERT_FALSE(reference.records.empty());
+  for (const unsigned shards : {1u, 2u, 4u}) {
+    RecordingObserver obs;
+    ShardedSink sink(three_query_builder(), shards);
+    sink.add_observer(&obs);
+    sink.submit(packets, kHops);
+    sink.flush();
+    const TransportCounters t = sink.observer_counters();
+    EXPECT_EQ(t.observer_events, obs.records.size()) << shards << " shards";
+    EXPECT_EQ(t.observer_drops, 0u) << shards << " shards";
+    EXPECT_EQ(sink.relay_threads(), 1u);
+    EXPECT_EQ(obs.records.size(), reference.records.size());
+    EXPECT_EQ(canonical_bytes(obs.records), canonical_bytes(reference.records))
+        << shards << " shards";
+  }
+  // A zero-event budget would be a transport that can carry nothing.
+  auto builder = three_query_builder();
+  EXPECT_THROW(builder.async_observers(0, OverflowPolicy::kBlock),
+               std::invalid_argument);
 }
 
 TEST(AsyncObservers, BlockModePreservesPerShardOrder) {
@@ -232,11 +265,9 @@ TEST(AsyncObservers, DropNewestCountsDropsExactly) {
   const std::vector<Packet> packets = make_encoded_traffic();
 
   // Deterministic ground truth: total events emitted per workload is the
-  // synchronous (lossless) event count.
-  std::vector<SinkReport> sync_reports(packets.size());
-  const RecordingObserver sync_obs =
-      run_sink(three_query_builder(), 2, packets, sync_reports);
-  const std::size_t total_events = sync_obs.records.size();
+  // monolithic (lossless) event count.
+  const RecordingObserver ref_obs = monolithic_reference(packets);
+  const std::size_t total_events = ref_obs.records.size();
   ASSERT_GT(total_events, 0u);
 
   // Tiny ring + slow observer: the relay cannot keep up, so kDropNewest
@@ -275,22 +306,18 @@ TEST(AsyncObservers, BlockModeNeverDropsUnderPressure) {
   EXPECT_EQ(t.observer_events, obs.records.size());
   EXPECT_GT(t.observer_blocked_waits, 0u) << "ring never filled; weak test";
 
-  std::vector<SinkReport> sync_reports(packets.size());
-  const RecordingObserver sync_obs =
-      run_sink(three_query_builder(), 2, packets, sync_reports);
-  EXPECT_EQ(obs.records.size(), sync_obs.records.size());
+  const RecordingObserver ref_obs = monolithic_reference(packets);
+  EXPECT_EQ(obs.records.size(), ref_obs.records.size());
 }
 
 TEST(AsyncObservers, DropNewestShedsOnlyMinimumPriorityQueries) {
   const std::vector<Packet> packets = make_encoded_traffic();
 
-  // Ground truth per query from a lossless synchronous run.
-  std::vector<SinkReport> sync_reports(packets.size());
-  const RecordingObserver sync_obs =
-      run_sink(three_query_builder(), 2, packets, sync_reports);
-  std::map<std::string, std::size_t> sync_counts;
-  for (const auto& rec : sync_obs.records) ++sync_counts[rec.query];
-  ASSERT_GT(sync_counts["hpcc"], 0u);
+  // Ground truth per query from the lossless monolithic run.
+  const RecordingObserver ref_obs = monolithic_reference(packets);
+  std::map<std::string, std::size_t> ref_counts;
+  for (const auto& rec : ref_obs.records) ++ref_counts[rec.query];
+  ASSERT_GT(ref_counts["hpcc"], 0u);
 
   // Same mix, but path and latency outrank hpcc: under kDropNewest with a
   // starved ring, ONLY the minimum-priority class (hpcc) may be shed.
@@ -340,12 +367,12 @@ TEST(AsyncObservers, DropNewestShedsOnlyMinimumPriorityQueries) {
   std::map<std::string, std::size_t> got_counts;
   for (const auto& rec : obs.records) ++got_counts[rec.query];
   // Protected classes are loss-free even while the ring starves...
-  EXPECT_EQ(got_counts["path"], sync_counts["path"]);
-  EXPECT_EQ(got_counts["latency"], sync_counts["latency"]);
+  EXPECT_EQ(got_counts["path"], ref_counts["path"]);
+  EXPECT_EQ(got_counts["latency"], ref_counts["latency"]);
   // ...and every drop is accounted against the sheddable class.
   const TransportCounters t = sink.observer_counters();
   EXPECT_GT(t.observer_drops, 0u) << "workload did not pressure the ring";
-  EXPECT_EQ(got_counts["hpcc"] + t.observer_drops, sync_counts["hpcc"]);
+  EXPECT_EQ(got_counts["hpcc"] + t.observer_drops, ref_counts["hpcc"]);
   // Memory heartbeats are never sheddable — the drop accounting itself
   // must survive the shedding it reports.
   EXPECT_GE(memory.reports, packets.size() / 100 / 2);
@@ -362,10 +389,8 @@ TEST(AsyncObservers, CoalescedWakeupsLoseNothingAcrossFlushCycles) {
   // one (ring path + real relay wakeups); both must stay exact after
   // EVERY cycle, not just at the end.
   const std::vector<Packet> packets = make_encoded_traffic();
-  std::vector<SinkReport> sync_reports(packets.size());
-  const RecordingObserver sync_obs =
-      run_sink(three_query_builder(), 2, packets, sync_reports);
-  ASSERT_FALSE(sync_obs.records.empty());
+  const RecordingObserver ref_obs = monolithic_reference(packets);
+  ASSERT_FALSE(ref_obs.records.empty());
 
   for (const auto delay :
        {std::chrono::microseconds{0}, std::chrono::microseconds{3}}) {
@@ -391,11 +416,11 @@ TEST(AsyncObservers, CoalescedWakeupsLoseNothingAcrossFlushCycles) {
       ASSERT_EQ(t.observer_drops, 0u);
     }
 
-    // The chopped-up schedule must still produce the exact synchronous
+    // The chopped-up schedule must still produce the exact monolithic
     // stream: same events, same per-shard order.
-    EXPECT_EQ(obs.records.size(), sync_obs.records.size());
+    EXPECT_EQ(obs.records.size(), ref_obs.records.size());
     EXPECT_EQ(canonical_bytes(obs.records),
-              canonical_bytes(sync_obs.records))
+              canonical_bytes(ref_obs.records))
         << "delay " << delay.count() << "us";
     std::map<std::uint64_t, PacketId> last_seen;
     for (const auto& rec : obs.records) {

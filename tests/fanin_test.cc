@@ -4,7 +4,7 @@
 // unix socketpair), at 1/2/4 sinks x 1/2/4 shards, the collector's merged
 // record stream is byte-identical to the monolithic sink's when no frames
 // are dropped; (2) drop-newest backpressure reports exact dropped-frame
-// counts (writer counter == receiver sequence gaps == SinkReport
+// counts (writer counter == receiver sequence gaps == the pipeline's
 // TransportCounters); (3) a source killed mid-epoch is reported as an
 // incomplete epoch while the surviving sources keep decoding; (4) the
 // original end-to-end simulator path still matches the monolithic sink.
@@ -217,7 +217,7 @@ TEST(FanIn, ByteIdenticalToMonolithicAcrossStreamsSinksShards) {
 
 // Drop-newest backpressure: a deliberately tiny ring forces drops, and the
 // dropped-frame count must be exact and visible everywhere it is promised:
-// the writer-side TransportCounters (via SinkReport), the receiver-side
+// the writer-side TransportCounters, the receiver-side
 // sequence gaps, and the epoch accounting (epochs still complete, because
 // the close marker counts only shipped frames).
 TEST(FanIn, DropNewestReportsExactDropCounts) {
@@ -240,9 +240,9 @@ TEST(FanIn, DropNewestReportsExactDropCounts) {
   pipeline.ship_epoch();
   pipeline.shutdown();
 
-  const SinkReport report = pipeline.epoch_report();
-  ASSERT_TRUE(report.transport.active);
-  EXPECT_GT(report.transport.frames_dropped, 0u)
+  const TransportCounters transport = pipeline.transport_counters();
+  ASSERT_TRUE(transport.active);
+  EXPECT_GT(transport.frames_dropped, 0u)
       << "config did not force drops; shrink the ring";
   // Writer-side drop count == receiver-side missing-frame count.
   std::uint64_t missed = 0;
@@ -257,8 +257,8 @@ TEST(FanIn, DropNewestReportsExactDropCounts) {
     // as complete, with the loss explicit in the counters instead.
     EXPECT_EQ(status->epochs_incomplete, 0u) << "sink " << s;
   }
-  EXPECT_EQ(missed, report.transport.frames_dropped);
-  EXPECT_EQ(payload_frames, report.transport.frames_shipped);
+  EXPECT_EQ(missed, transport.frames_dropped);
+  EXPECT_EQ(payload_frames, transport.frames_shipped);
   // What did arrive decoded fine (partial delivery, not corruption): the
   // only frame-layer events are the sequence gaps the drops created.
   EXPECT_GT(central.observations, 0u);
@@ -375,9 +375,9 @@ TEST(FanIn, PriorityClassesShedOnlyLowestClassUnderDrops) {
     pipeline.ship_epoch();
     pipeline.shutdown();
 
-    const SinkReport report = pipeline.epoch_report();
-    ASSERT_TRUE(report.transport.active);
-    EXPECT_GT(report.transport.frames_dropped, 0u)
+    const TransportCounters transport = pipeline.transport_counters();
+    ASSERT_TRUE(transport.active);
+    EXPECT_GT(transport.frames_dropped, 0u)
         << "config did not force drops; shrink the ring";
     std::map<std::string, std::size_t> got_counts;
     for (const auto& rec : central.records) ++got_counts[rec.query];

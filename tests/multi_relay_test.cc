@@ -1,10 +1,10 @@
-// Multi-relay async observer transport (Builder::async_observers with
+// Multi-relay observer transport (Builder::async_observers with
 // relay_threads > 1): shards partitioned round-robin across several relay
 // threads, each relay the exclusive consumer of its shards' chunk rings.
 // Load-bearing checks, at every relay count:
 //  (1) kBlock stays loss-free and the observer stream canonicalizes to
-//      exactly the synchronous stream — relays reorder *between* shards
-//      only, never within one;
+//      exactly the monolithic framework's stream — relays reorder
+//      *between* shards only, never within one;
 //  (2) the SinkReport result buffers are byte-identical to the
 //      single-threaded sink — relay topology moves callbacks, not results;
 //  (3) kDropNewest accounts for every shed event exactly (delivered +
@@ -139,24 +139,22 @@ std::vector<std::uint8_t> canonical_bytes(
   return enc.finish();
 }
 
-// The synchronous (single relay topology is irrelevant) reference stream.
-RecordingObserver sync_reference(const std::vector<Packet>& packets,
-                                 std::span<SinkReport> reports) {
+// The reference stream: one monolithic framework, observers inline.
+RecordingObserver monolithic_reference(const std::vector<Packet>& packets) {
   RecordingObserver obs;
-  ShardedSink sink(three_query_builder(), kShards);
-  sink.add_observer(&obs);
-  sink.submit(std::span<const Packet>(packets), kHops, reports);
-  sink.flush();
+  const auto fw = three_query_builder().build_or_throw();
+  fw->add_observer(&obs);
+  SinkReport report;
+  for (const Packet& p : packets) fw->at_sink(p, kHops, report);
   return obs;
 }
 
 TEST(MultiRelay, BlockModeLossFreeAtEveryRelayCount) {
   const std::vector<Packet> packets = make_encoded_traffic();
-  std::vector<SinkReport> sync_reports(packets.size());
-  const RecordingObserver sync_obs = sync_reference(packets, sync_reports);
-  ASSERT_FALSE(sync_obs.records.empty());
+  const RecordingObserver ref_obs = monolithic_reference(packets);
+  ASSERT_FALSE(ref_obs.records.empty());
   const std::vector<std::uint8_t> reference =
-      canonical_bytes(sync_obs.records);
+      canonical_bytes(ref_obs.records);
 
   for (const unsigned relays : {2u, 3u, 4u}) {
     auto builder = three_query_builder();
@@ -174,7 +172,7 @@ TEST(MultiRelay, BlockModeLossFreeAtEveryRelayCount) {
 
     const TransportCounters t = sink.observer_counters();
     EXPECT_EQ(t.observer_drops, 0u) << relays << " relays";
-    EXPECT_EQ(obs.records.size(), sync_obs.records.size())
+    EXPECT_EQ(obs.records.size(), ref_obs.records.size())
         << relays << " relays";
     EXPECT_EQ(canonical_bytes(obs.records), reference)
         << relays << " relays";
@@ -252,9 +250,8 @@ TEST(MultiRelay, ReportsByteIdenticalAtEveryRelayCount) {
 
 TEST(MultiRelay, DropNewestAccountsExactlyAtEveryRelayCount) {
   const std::vector<Packet> packets = make_encoded_traffic();
-  std::vector<SinkReport> sync_reports(packets.size());
-  const RecordingObserver sync_obs = sync_reference(packets, sync_reports);
-  const std::size_t total_events = sync_obs.records.size();
+  const RecordingObserver ref_obs = monolithic_reference(packets);
+  const std::size_t total_events = ref_obs.records.size();
   ASSERT_GT(total_events, 0u);
 
   for (const unsigned relays : {2u, 4u}) {
@@ -282,9 +279,8 @@ TEST(MultiRelay, DropNewestAccountsExactlyAtEveryRelayCount) {
 
 TEST(MultiRelay, ConcurrentProducersWithArenaChurn) {
   const std::vector<Packet> packets = make_encoded_traffic();
-  std::vector<SinkReport> sync_reports(packets.size());
-  const RecordingObserver sync_obs = sync_reference(packets, sync_reports);
-  const std::size_t total_events = sync_obs.records.size();
+  const RecordingObserver ref_obs = monolithic_reference(packets);
+  const std::size_t total_events = ref_obs.records.size();
 
   // Four producer threads push disjoint slices through the MPMC front-end
   // while four shard workers churn their per-thread slab arenas and two
@@ -292,7 +288,6 @@ TEST(MultiRelay, ConcurrentProducersWithArenaChurn) {
   // ASan/UBSan runs of this suite are what make the "no data races, no
   // arena lifetime bugs" claim checkable.
   auto builder = three_query_builder();
-  builder.recording_arena(true);
   builder.async_observers(128, OverflowPolicy::kBlock, /*relay_threads=*/2);
   RecordingObserver obs;
   obs.delay = std::chrono::microseconds{1};
@@ -324,7 +319,7 @@ TEST(MultiRelay, ConcurrentProducersWithArenaChurn) {
   // not comparable event-for-event — but per-query totals must hold.
   std::map<std::string, std::size_t> got, want;
   for (const auto& rec : obs.records) ++got[rec.query];
-  for (const auto& rec : sync_obs.records) ++want[rec.query];
+  for (const auto& rec : ref_obs.records) ++want[rec.query];
   EXPECT_EQ(got, want);
 }
 
